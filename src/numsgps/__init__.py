@@ -47,7 +47,6 @@ from .errors import (
 from .oracle import (
     ORACLE_MAX_FROBENIUS,
     OracleReport,
-    Verdict,
     all_with_frobenius,
     brute_l,
     brute_msg,
@@ -95,7 +94,6 @@ __all__ = [
     "SemigroupTree",
     "TreeKind",
     "TreeNode",
-    "Verdict",
     "all_with_frobenius",
     "brute_l",
     "brute_msg",

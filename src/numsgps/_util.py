@@ -1,40 +1,31 @@
-"""Small shared plumbing: ordered parallel map and a work budget counter."""
-
-import threading
-from concurrent.futures import ThreadPoolExecutor
+"""Small shared plumbing: an ordered map and a work budget counter."""
 
 from .errors import BudgetExceeded
 
 
 def map_ordered(fn, items, threads=1):
-    """Apply fn to each item, preserving input order in the result list.
+    """[fn(item) for item in items], in input order.
 
-    With threads > 1 the calls run on a thread pool, but the returned
-    list is indistinguishable from the sequential one, which is what
-    keeps every traversal deterministic regardless of thread count.
+    threads is accepted for compatibility and selects nothing: every
+    call runs sequentially, since a thread pool only slowed the
+    pure-Python work down under the GIL.
     """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return [fn(it) for it in items]
 
 
 class WorkBudget:
-    """Thread-safe counter of expanded tree nodes.
+    """Counter of expanded tree nodes.
 
     charge() raises BudgetExceeded once the configured limit is passed.
-    The total amount of work for a given request is schedule-independent,
-    so whether a run exceeds its budget does not depend on threading.
+    The total amount of work for a given request is fixed by the request,
+    so whether a run exceeds its budget depends on nothing else.
     """
 
     def __init__(self, limit):
         self.limit = limit
         self.used = 0
-        self._lock = threading.Lock()
 
     def charge(self, amount=1):
-        with self._lock:
-            self.used += amount
-            if self.limit is not None and self.used > self.limit:
-                raise BudgetExceeded(self.limit)
+        self.used += amount
+        if self.limit is not None and self.used > self.limit:
+            raise BudgetExceeded(self.limit)

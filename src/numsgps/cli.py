@@ -13,7 +13,8 @@ Subcommands:
 
 Output is plain text by default; --json switches every record-producing
 command to JSON lines with a fixed field order, byte-identical for a
-given input regardless of --threads.  --dot additionally writes the
+given input.  --threads N (N >= 1) is accepted for compatibility and
+selects nothing: every run is sequential.  --dot additionally writes the
 traversed tree as a Graphviz digraph (edges point from child to parent,
 labeled with the removed generator).
 
@@ -43,6 +44,16 @@ def _gens_argument(text: str):
     if not gens:
         raise argparse.ArgumentTypeError("empty generator list")
     return gens
+
+
+def _threads_argument(text: str):
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError("expected an integer N >= 1, got %r" % text)
+    return threads
 
 
 def semigroup_record(s: NumericalSemigroup) -> dict:
@@ -150,9 +161,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_irreducibles(args) -> int:
-    tree = irreducible_tree(
-        args.frobenius, prune_threshold=args.min_delta, threads=args.threads
-    )
+    tree = irreducible_tree(args.frobenius, prune_threshold=args.min_delta)
     _emit_tree(tree, args.json)
     if args.dot:
         _write_dot(tree, args.dot)
@@ -162,7 +171,7 @@ def cmd_irreducibles(args) -> int:
 def cmd_interval_tree(args) -> int:
     root = NumericalSemigroup.from_generators(args.gens)
     if args.level is not None:
-        for s in interval_level(root, args.level, threads=args.threads):
+        for s in interval_level(root, args.level):
             if args.json:
                 record = semigroup_record(s)
                 record["depth"] = args.level
@@ -172,7 +181,7 @@ def cmd_interval_tree(args) -> int:
             else:
                 print(str(s))
         return 0
-    tree = interval_tree(root, threads=args.threads)
+    tree = interval_tree(root)
     _emit_tree(tree, args.json)
     if args.dot:
         _write_dot(tree, args.dot)
@@ -242,6 +251,8 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 
+_THREADS_HELP = "accepted for compatibility (N >= 1); runs are always sequential"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -270,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dot", metavar="FILE", help="also write a Graphviz digraph")
     p.add_argument("--json", action="store_true", help="emit JSON lines")
-    p.add_argument("--threads", type=int, default=1, metavar="N")
+    p.add_argument(
+        "--threads", type=_threads_argument, default=1, metavar="N", help=_THREADS_HELP
+    )
     p.set_defaults(handler=cmd_irreducibles)
 
     p = sub.add_parser(
@@ -287,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dot", metavar="FILE", help="also write a Graphviz digraph")
     p.add_argument("--json", action="store_true", help="emit JSON lines")
-    p.add_argument("--threads", type=int, default=1, metavar="N")
+    p.add_argument(
+        "--threads", type=_threads_argument, default=1, metavar="N", help=_THREADS_HELP
+    )
     p.set_defaults(handler=cmd_interval_tree)
 
     p = sub.add_parser(
@@ -298,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frobenius", type=int, required=True, metavar="F")
     p.add_argument("--count", action="store_true", help="print counts only")
     p.add_argument("--json", action="store_true", help="emit JSON lines")
-    p.add_argument("--threads", type=int, default=1, metavar="N")
+    p.add_argument(
+        "--threads", type=_threads_argument, default=1, metavar="N", help=_THREADS_HELP
+    )
     p.add_argument(
         "--max-work",
         type=int,

@@ -203,7 +203,7 @@ class NumericalSemigroup:
         A member s is minimal exactly when it is not a sum of two nonzero
         members.  No generator can exceed F + m, because anything above
         splits off the multiplicity, so scanning [m, F + m] is complete.
-        The tuple is computed once and reused (idempotent under races).
+        The tuple is computed once and reused.
         """
         f = self.frobenius
         if f < 0:

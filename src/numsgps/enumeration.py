@@ -18,9 +18,8 @@ and the interval [theta(I), I] reaches that depth exactly when
     3. report the groups; they partition the answer.
 
 Roots appear in BFS discovery order, members of each group in canonical
-(gap list) order, so output is deterministic; per-root level
-computations are independent and may run on a thread pool without
-changing anything observable.
+(gap list) order, so output is deterministic.  Every walk runs
+sequentially on one level generator (see trees), one root at a time.
 
 witness_k_semigroup produces a single example without enumeration by
 deleting the floor(K/2) largest nonzero members below F from the
@@ -75,15 +74,21 @@ def enumerate_k_semigroups(req: EnumerationRequest, threads=1) -> EnumerationRes
 
     Raises BudgetExceeded when more than req.max_work nodes get expanded
     across the pruned irreducible tree and the interval levels combined;
-    partial results are discarded, not returned.
+    partial results are discarded, not returned.  Raises ValueError for
+    a negative k or max_work, or for threads < 1.  threads is accepted
+    for compatibility and selects nothing: the run is always sequential.
     """
+    if req.k < 0:
+        raise ValueError("k must be >= 0, got %d" % req.k)
+    if req.max_work is not None and req.max_work < 0:
+        raise ValueError("max_work must be >= 0, got %d" % req.max_work)
+    if threads < 1:
+        raise ValueError("threads must be >= 1, got %d" % threads)
     if not feasible(req.k, req.frobenius):
         return EnumerationResult(False, (), 0)
     half = req.k // 2
     budget = WorkBudget(req.max_work) if req.max_work is not None else None
-    tree = irreducible_tree(
-        req.frobenius, prune_threshold=half, threads=threads, budget=budget
-    )
+    tree = irreducible_tree(req.frobenius, prune_threshold=half, budget=budget)
     roots = [node.semigroup for node in tree.nodes]
     levels = map_ordered(
         lambda root: interval_level(root, half, budget=budget), roots, threads
@@ -108,8 +113,10 @@ def witness_k_semigroup(k: int, frobenius: int):
     Starting from C(F), delete the floor(k/2) largest nonzero members
     below F.  Each is above F/2, so closure never breaks, and l grows by
     2 per deletion from l(C(F)) in {0, 1}; the parity gate makes the
-    total come out to exactly k.
+    total come out to exactly k.  Raises ValueError for a negative k.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0, got %d" % k)
     if not feasible(k, frobenius):
         return None
     seed = canonical_irreducible(frobenius)

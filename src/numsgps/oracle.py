@@ -24,7 +24,6 @@ be empty.  Mismatch entries carry the generator list, the operation name
 and both values, enough to reproduce by hand.
 """
 
-import enum
 from dataclasses import dataclass
 
 from .classify import classify, pf_fast_2sg, pf_fast_3sg, pseudo_frobenius
@@ -36,11 +35,6 @@ from .trees import interval_tree, irreducible_tree, relative_frobenius, theta_su
 ORACLE_MAX_FROBENIUS = 22
 
 
-class Verdict(enum.Enum):
-    MATCH = "match"
-    MISMATCH = "mismatch"
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """One discrepancy: where, what, and both sides of the comparison."""
@@ -49,7 +43,6 @@ class OracleReport:
     operation: str
     expected: str
     actual: str
-    verdict: Verdict
 
     def __str__(self):
         return "MISMATCH gens=%s op=%s expected=%s actual=%s" % (
@@ -87,12 +80,6 @@ class _MemberTable:
 
     def gap_list(self):
         return [x for x in range(1, self.frobenius + 1) if x not in self.members]
-
-    def to_semigroup(self):
-        bits = 1 << (self.frobenius + 1) if self.frobenius >= 0 else 1
-        for i in self.members:
-            bits |= 1 << i
-        return NumericalSemigroup(max(self.frobenius, -1), bits)
 
 
 def _tbl_closed(t: _MemberTable) -> bool:
@@ -319,7 +306,6 @@ def crosscheck(f_max: int):
                     operation=operation,
                     expected=repr(expected),
                     actual=repr(actual),
-                    verdict=Verdict.MISMATCH,
                 )
             )
 

@@ -41,14 +41,13 @@ threshold pruning: dropping every node with #(S \\ theta(S)) < t also
 drops only nodes whose entire subtree is below t.
 
 Both traversals are breadth-first with children ordered by edge label
-ascending, so node order is deterministic; thread pools only parallelize
-the per-level child expansion and never change the order.
+ascending, so node order is deterministic.  One sequential level
+generator drives every walk, keeping only the current level in memory.
 """
 
 import enum
 from dataclasses import dataclass
 
-from ._util import map_ordered
 from .core import NumericalSemigroup, _bit_range
 from .errors import NotASubset, NotIrreducible
 
@@ -191,46 +190,49 @@ def interval_children(parent, edge_label, frobenius):
     )
 
 
-def _bfs(root, expand, budget=None, threads=1, keep=None):
-    # shared breadth-first driver; expand(sg, label) -> (child, label) pairs
-    nodes = []
-    frontier = []
-    if keep is None or keep(root):
-        nodes.append(TreeNode(root, 0, -1, None))
-        frontier = [(0, root, -1)]
-    while frontier:
+def _levels(root, expand, budget=None, keep=None):
+    # breadth-first levels, each a list of (parent position, semigroup,
+    # label) with the position indexing the previous level (None at the
+    # root); expand(sg, label) -> (child, label) pairs.  A level is
+    # charged to budget only when the next one is asked for.
+    level = [(None, root, -1)] if keep is None or keep(root) else []
+    while level:
+        yield level
         if budget is not None:
-            budget.charge(len(frontier))
-        child_lists = map_ordered(
-            lambda item: expand(item[1], item[2]), frontier, threads
+            budget.charge(len(level))
+        level = [
+            (pos, child, label)
+            for pos, (_, sg, edge) in enumerate(level)
+            for child, label in expand(sg, edge)
+            if keep is None or keep(child)
+        ]
+
+
+def _bfs(root, expand, budget=None, keep=None):
+    # every level of _levels as TreeNodes, parents indexed tree-wide
+    nodes = []
+    parents = None  # index in nodes of the previous level's first node
+    for depth, level in enumerate(_levels(root, expand, budget, keep)):
+        first = len(nodes)
+        nodes.extend(
+            TreeNode(sg, depth, label, None if pos is None else parents + pos)
+            for pos, sg, label in level
         )
-        next_frontier = []
-        for (index, _, _), children in zip(frontier, child_lists):
-            depth = nodes[index].depth + 1
-            for child, label in children:
-                if keep is not None and not keep(child):
-                    continue
-                nodes.append(TreeNode(child, depth, label, index))
-                next_frontier.append((len(nodes) - 1, child, label))
-        frontier = next_frontier
+        parents = first
     return tuple(nodes)
 
 
-def interval_tree(root: NumericalSemigroup, threads=1) -> SemigroupTree:
+def interval_tree(root: NumericalSemigroup) -> SemigroupTree:
     """Full interval tree of [theta(I), I] for irreducible I."""
     profile = root.gap_profile
     if profile.l_count > 1:
         raise NotIrreducible(root, profile.l_count)
     f = root.frobenius
-    nodes = _bfs(
-        root,
-        lambda sg, label: interval_children(sg, label, f),
-        threads=threads,
-    )
+    nodes = _bfs(root, lambda sg, label: interval_children(sg, label, f))
     return SemigroupTree(TreeKind.INTERVAL, nodes)
 
 
-def interval_level(root, depth, threads=1, budget=None):
+def interval_level(root, depth, budget=None):
     """Depth-n slice of the interval tree, canonically sorted.
 
     Only one level is alive at a time, so deep slices never materialize
@@ -238,21 +240,18 @@ def interval_level(root, depth, threads=1, budget=None):
     #(I \\ theta(I)).  budget, when given, is charged one unit per
     expanded node.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0, got %d" % depth)
     profile = root.gap_profile
     if profile.l_count > 1:
         raise NotIrreducible(root, profile.l_count)
     f = root.frobenius
-    level = [(root, -1)]
-    for _ in range(depth):
-        if budget is not None:
-            budget.charge(len(level))
-        child_lists = map_ordered(
-            lambda pair: interval_children(pair[0], pair[1], f), level, threads
-        )
-        level = [pair for children in child_lists for pair in children]
-        if not level:
-            return ()
-    return tuple(sorted((sg for sg, _ in level), key=lambda t: t.canonical_key))
+    expand = lambda sg, label: interval_children(sg, label, f)
+    for n, level in enumerate(_levels(root, expand, budget)):
+        if n == depth:
+            members = (sg for _, sg, _ in level)
+            return tuple(sorted(members, key=lambda t: t.canonical_key))
+    return ()
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +282,7 @@ def irreducible_children(s, frobenius):
 
 
 def irreducible_tree(
-    frobenius: int, prune_threshold=None, threads=1, budget=None
+    frobenius: int, prune_threshold=None, budget=None
 ) -> SemigroupTree:
     """All irreducible semigroups with the given Frobenius number.
 
@@ -301,7 +300,6 @@ def irreducible_tree(
         canonical_irreducible(frobenius),
         lambda sg, label: irreducible_children(sg, frobenius),
         budget=budget,
-        threads=threads,
         keep=keep,
     )
     return SemigroupTree(TreeKind.IRREDUCIBLE, nodes)

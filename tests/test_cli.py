@@ -174,6 +174,15 @@ def test_interval_tree_level_golden(capsys):
     assert out.strip() == "<4,13,14,15>"
 
 
+def test_interval_tree_rejects_negative_level(capsys):
+    code, out, err = run(
+        capsys, "interval-tree", "--gens", "5,7,9,11", "--level", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_interval_tree_rejects_reducible(capsys):
     code, out, err = run(capsys, "interval-tree", "--gens", "7,8,9,11,12")
     assert code == 2
@@ -274,6 +283,17 @@ def test_ksemigroups_budget(capsys):
     assert err.startswith("error:")
 
 
+def test_ksemigroups_negative_budget_is_an_error(capsys):
+    code, out, err = run(
+        capsys,
+        "ksemigroups", "--l", "6", "--frobenius", "11", "--max-work", "-5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "-5" in err and "exhausted" not in err
+
+
 # ----------------------------------------------------------------------
 # verify
 
@@ -297,6 +317,18 @@ def test_verify_bound(capsys):
 def _capture(capsys, *argv):
     assert main(list(argv)) == 0
     return capsys.readouterr().out
+
+
+def test_thread_count_below_one_is_usage_error(capsys):
+    for argv in (
+        ("irreducibles", "--frobenius", "11"),
+        ("interval-tree", "--gens", "5,7,9,11"),
+        ("ksemigroups", "--l", "6", "--frobenius", "11"),
+    ):
+        for threads in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--threads", threads])
+            assert exc.value.code == 2
 
 
 def test_thread_count_never_changes_json(capsys):

@@ -134,6 +134,31 @@ def test_budget_large_enough_passes():
     assert result.total == 12
 
 
+def test_budget_boundary_is_exact():
+    # (K, F) -> nodes expanded over the pruned tree and the levels
+    for (k, f), work in {(6, 11): 31, (8, 17): 217}.items():
+        assert enumerate_k_semigroups(EnumerationRequest(k, f, max_work=work)).total
+        with pytest.raises(BudgetExceeded):
+            enumerate_k_semigroups(EnumerationRequest(k, f, max_work=work - 1))
+
+
+def test_negative_budget_is_rejected():
+    with pytest.raises(ValueError, match="-5"):
+        enumerate_k_semigroups(EnumerationRequest(6, 11, max_work=-5))
+
+
+def test_negative_k_is_rejected():
+    # K = -1 passes both feasibility gates for F = 4
+    with pytest.raises(ValueError, match="-1"):
+        enumerate_k_semigroups(EnumerationRequest(-1, 4))
+
+
+def test_thread_count_below_one_is_rejected():
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match=str(threads)):
+            enumerate_k_semigroups(EnumerationRequest(6, 11), threads=threads)
+
+
 # ----------------------------------------------------------------------
 # witnesses
 
@@ -152,6 +177,12 @@ def test_witness_zero_is_canonical_root():
 def test_witness_infeasible_is_none():
     assert witness_k_semigroup(6, 10) is None
     assert witness_k_semigroup(8, 7) is None
+
+
+def test_witness_negative_k_is_rejected():
+    # K = -1 passes both feasibility gates for F = 4
+    with pytest.raises(ValueError, match="-1"):
+        witness_k_semigroup(-1, 4)
 
 
 def test_witness_sweep():

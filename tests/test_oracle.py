@@ -15,7 +15,11 @@ from numsgps import (
 from support import sg
 
 # how many numerical semigroups exist per Frobenius number
-POPULATION_SIZES = (1, 1, 2, 2, 5, 4, 11, 10, 21, 22, 51, 40)
+# for F = 1..22 (OEIS A124506), the oracle's whole allowed range
+POPULATION_SIZES = (
+    1, 1, 2, 2, 5, 4, 11, 10, 21, 22, 51, 40,
+    106, 103, 200, 205, 465, 405, 961, 900, 1828, 1913,
+)
 
 
 def _gen_sets(semigroups):
@@ -49,7 +53,7 @@ def test_all_with_frobenius_five():
 
 
 def test_population_sizes():
-    sizes = tuple(len(all_with_frobenius(f)) for f in range(1, 13))
+    sizes = tuple(len(all_with_frobenius(f)) for f in range(1, 23))
     assert sizes == POPULATION_SIZES
 
 

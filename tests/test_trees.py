@@ -220,8 +220,29 @@ def test_interval_level_budget():
         interval_level(sg(5, 7, 9, 11), 4, budget=WorkBudget(3))
 
 
+def test_interval_level_charges_every_level_above_the_slice():
+    # levels of <5,7,9,11> hold 1, 3, 4, 3, 1 nodes; the slice itself is
+    # not expanded, and past the height every node is
+    for depth, used in ((0, 0), (3, 8), (4, 11), (6, 12)):
+        budget = WorkBudget(None)
+        interval_level(sg(5, 7, 9, 11), depth, budget=budget)
+        assert budget.used == used
+
+
+def test_interval_level_rejects_negative_depth():
+    with pytest.raises(ValueError, match="-1"):
+        interval_level(sg(5, 7, 9, 11), -1)
+
+
 # ----------------------------------------------------------------------
 # irreducible tree
+
+
+def test_irreducible_tree_charges_each_kept_node_once():
+    for threshold, nodes in ((None, 15), (3, 10)):
+        budget = WorkBudget(None)
+        tree = irreducible_tree(17, prune_threshold=threshold, budget=budget)
+        assert budget.used == len(tree) == nodes
 
 
 def test_irreducible_tree_nodes_golden():
