@@ -23,6 +23,7 @@ Exit codes: 0 success (including an empty but well-posed listing),
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -105,7 +106,17 @@ def _node_id(s: NumericalSemigroup) -> str:
     return ",".join(map(str, s.minimal_generators))
 
 
-def _write_dot(tree, path: str):
+def _open_dot(path):
+    # opened before any record prints, so a bad path leaves stdout empty
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValueError("cannot write --dot file %s: %s" % (path, exc.strerror))
+
+
+def _write_dot(tree, handle):
     lines = ["digraph {", "  rankdir=BT;"]
     for node in tree.nodes:
         lines.append('  "%s";' % _node_id(node.semigroup))
@@ -115,8 +126,7 @@ def _write_dot(tree, path: str):
             % (_node_id(child), _node_id(parent), label)
         )
     lines.append("}")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    handle.write("\n".join(lines) + "\n")
 
 
 def _emit_tree(tree, as_json: bool):
@@ -162,9 +172,10 @@ def cmd_info(args) -> int:
 
 def cmd_irreducibles(args) -> int:
     tree = irreducible_tree(args.frobenius, prune_threshold=args.min_delta)
-    _emit_tree(tree, args.json)
-    if args.dot:
-        _write_dot(tree, args.dot)
+    with _open_dot(args.dot) as dot:
+        _emit_tree(tree, args.json)
+        if dot is not None:
+            _write_dot(tree, dot)
     return 0
 
 
@@ -182,9 +193,10 @@ def cmd_interval_tree(args) -> int:
                 print(str(s))
         return 0
     tree = interval_tree(root)
-    _emit_tree(tree, args.json)
-    if args.dot:
-        _write_dot(tree, args.dot)
+    with _open_dot(args.dot) as dot:
+        _emit_tree(tree, args.json)
+        if dot is not None:
+            _write_dot(tree, dot)
     return 0
 
 

@@ -43,6 +43,27 @@ def _bit_range(lo, hi):
     return ((1 << hi) - 1) ^ ((1 << lo) - 1)
 
 
+def _set_bits(x):
+    # positions of the set bits of x >= 0, ascending
+    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+
+
+def _closure_bits(gens, limit):
+    # bit table over [0, limit] of the monoid generated by gens: shifts by
+    # g, 2g, 4g, ... add every multiple of g; a generator already in the
+    # table adds nothing, since the table is closed under its members
+    mask = _bit_range(0, limit + 1)
+    table = 1
+    for g in gens:
+        if (table >> g) & 1:
+            continue
+        step = g
+        while step <= limit:
+            table |= (table << step) & mask
+            step <<= 1
+    return table
+
+
 @dataclass(frozen=True)
 class GapProfile:
     """Gap analytics of one semigroup; all tuples are sorted ascending.
@@ -99,8 +120,8 @@ class NumericalSemigroup:
         """Semigroup generated by a finite set of positive integers.
 
         Raises GcdNotOne when the generators do not span a cofinite set.
-        Membership is sieved on [0, 2*m*max] and trimmed to the last gap;
-        the classical bound F < m*max makes this window safe.
+        Membership is closed by shifted ORs on [0, 2*m*max] and trimmed to
+        the last gap; the classical bound F < m*max makes this window safe.
         """
         gens = sorted({int(g) for g in generators})
         if not gens:
@@ -115,20 +136,9 @@ class NumericalSemigroup:
         if g != 1:
             raise GcdNotOne(gens, g)
         bound = 2 * gens[0] * gens[-1]
-        table = bytearray(bound + 1)
-        table[0] = 1
-        for i in range(bound + 1):
-            if table[i]:
-                for a in gens:
-                    j = i + a
-                    if j <= bound:
-                        table[j] = 1
-        frob = next(i for i in range(bound, -1, -1) if not table[i])
-        bits = 0
-        for i in range(frob + 2):
-            if table[i]:
-                bits |= 1 << i
-        return cls(frob, bits)
+        table = _closure_bits(gens, bound)
+        frob = (~table & _bit_range(0, bound + 1)).bit_length() - 1
+        return cls(frob, table & _bit_range(0, frob + 2))
 
     @classmethod
     def from_gap_set(cls, gaps):
@@ -147,15 +157,9 @@ class NumericalSemigroup:
         bits = _bit_range(0, f + 2)
         for x in gap_list:
             bits &= ~(1 << x)
-        gapset = set(gap_list)
-        members = [i for i in range(1, f + 1) if (bits >> i) & 1]
-        for pos, i in enumerate(members):
-            for j in members[pos:]:
-                if i + j > f:
-                    break
-                if i + j in gapset:
-                    raise NotClosed(i, j)
-        return cls(f, bits)
+        s = cls(f, bits)
+        s.validate()
+        return s
 
     # ------------------------------------------------------------------
     # membership and display
@@ -202,24 +206,21 @@ class NumericalSemigroup:
 
         A member s is minimal exactly when it is not a sum of two nonzero
         members.  No generator can exceed F + m, because anything above
-        splits off the multiplicity, so scanning [m, F + m] is complete.
-        The tuple is computed once and reused.
+        splits off the multiplicity, so the generators are the nonzero
+        members M of [1, F + m] less the sumset M + M.  The tuple is
+        computed once and reused.
         """
         f = self.frobenius
         if f < 0:
             return (1,)
         m = self.multiplicity
-        gens = []
-        for s in range(m, f + m + 1):
-            if not self.contains(s):
-                continue
-            composite = any(
-                self.contains(a) and self.contains(s - a)
-                for a in range(m, s - m + 1)
-            )
-            if not composite:
-                gens.append(s)
-        return tuple(gens)
+        top = f + m
+        members = (self.bits | _bit_range(f + 2, top + 1)) & ~1
+        sums = 0
+        # the smaller summand of a sum in [1, F + m] is at most half of it
+        for a in _set_bits(members & _bit_range(0, top // 2 + 1)):
+            sums |= members << a
+        return tuple(_set_bits(members & ~sums))
 
     @property
     def multiplicity(self):

@@ -48,7 +48,7 @@ generator drives every walk, keeping only the current level in memory.
 import enum
 from dataclasses import dataclass
 
-from .core import NumericalSemigroup, _bit_range
+from .core import NumericalSemigroup, _bit_range, _closure_bits
 from .errors import NotASubset, NotIrreducible
 
 
@@ -113,32 +113,16 @@ def relative_frobenius(sup: NumericalSemigroup, sub: NumericalSemigroup) -> int:
     if sup.frobenius > fa:
         # sup misses its own Frobenius number, which sub would contain
         raise NotASubset(sub, sup)
-    for i in range(fa + 1):
-        if sub.contains(i) and not sup.contains(i):
-            raise NotASubset(sub, sup)
-    for i in range(fa, 0, -1):
-        if sup.contains(i) and not sub.contains(i):
-            return i
-    return -1
+    # both tables widened to [0, F(sub) + 1]; everything above is shared
+    wide = sup.bits | _bit_range(sup.frobenius + 2, fa + 2)
+    if sub.bits & ~wide:
+        raise NotASubset(sub, sup)
+    return (wide & ~sub.bits).bit_length() - 1
 
 
 def _delta_closure_bits(s):
     # bit table over [0, F] of the semigroup generated by delta(S) \ {0}
-    f = s.frobenius
-    gens = [d for d in s.delta() if d > 0]
-    reach = bytearray(f + 1)
-    reach[0] = 1
-    for i in range(f + 1):
-        if reach[i]:
-            for d in gens:
-                j = i + d
-                if j <= f:
-                    reach[j] = 1
-    bits = 0
-    for i in range(f + 1):
-        if reach[i]:
-            bits |= 1 << i
-    return bits
+    return _closure_bits([d for d in s.delta() if d > 0], s.frobenius)
 
 
 def theta(s: NumericalSemigroup) -> NumericalSemigroup:

@@ -200,6 +200,24 @@ def test_interval_tree_dot(capsys, tmp_path):
     assert '"5,14,16,17,18" -> "5,12,14,16,18" [label="12"];' in text
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("irreducibles", "--frobenius", "2"),
+        ("interval-tree", "--gens", "5,7,9,11"),
+    ],
+)
+def test_unwritable_dot_is_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "tree.dot"
+    code, out, err = run(capsys, *argv, "--dot", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert str(target) in err
+    assert len(err.strip().split("\n")) == 1
+    assert not target.exists()
+
+
 # ----------------------------------------------------------------------
 # ksemigroups
 

@@ -169,6 +169,30 @@ def test_minimal_generators_drop_redundant():
     assert sg(6, 10, 15, 21, 22).minimal_generators == (6, 10, 15)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (2, 3),
+        (2, 399),
+        (3, 400),
+        (7, 400),
+        (59, 61),
+        (97, 389),
+        (211, 223),
+        (255, 256),
+        (397, 400),
+        (399, 400),
+    ],
+)
+def test_two_generator_sylvester_anchor(a, b):
+    # F = ab - a - b and genus (a-1)(b-1)/2, far beyond the oracle's range;
+    # the genus is the count of zero bits in the table over [0, F + 1]
+    s = sg(a, b)
+    assert s.frobenius == a * b - a - b
+    assert s.frobenius + 2 - s.bits.bit_count() == (a - 1) * (b - 1) // 2
+    assert s.minimal_generators == (a, b)
+
+
 def test_multiplicity_and_embedding_dimension():
     s = sg(5, 7, 9, 11)
     assert s.multiplicity == 5

@@ -5,7 +5,7 @@ import math
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from numsgps import NumericalSemigroup, pseudo_frobenius, theta
+from numsgps import NumericalSemigroup, brute_msg, pseudo_frobenius, theta
 
 gen_lists = st.lists(
     st.integers(min_value=2, max_value=60), min_size=2, max_size=6
@@ -134,16 +134,52 @@ def test_removal_and_refill_are_inverse(gens):
         assert t.adjoin_h() == s
 
 
-@given(gen_lists)
+def _removable(s):
+    f = s.frobenius
+    return [x for x in s.minimal_generators if 2 * x > f and x < f]
+
+
+@given(st.lists(st.integers(min_value=4, max_value=60), min_size=2, max_size=6))
 @settings(deadline=None)
 def test_removal_below_h_still_raises_l(gens):
-    s = _semigroup(gens)
-    f = s.frobenius
-    candidates = [x for x in s.minimal_generators if 2 * x > f and x < f]
-    assume(candidates)
+    # built to have a minimal generator in (F/2, F): max + 1 is coprime
+    # to a common divisor of the list, and generators from 4 up give
+    # F >= 3.  Filling in h makes h such a generator; an irreducible S
+    # first loses its multiplicity, which leaves l >= 2.
+    if math.gcd(*gens) != 1:
+        gens = [*gens, max(gens) + 1]
+    s = NumericalSemigroup.from_generators(gens)
+    if not _removable(s):
+        if s.gap_profile.l_count < 2:
+            s = s.remove_element(s.multiplicity)
+        s = s.adjoin_h()
+    candidates = _removable(s)
+    assert candidates
     for x in candidates:
         t = s.remove_element(x)
         assert t.gap_profile.l_count == s.gap_profile.l_count + 2
+
+
+@st.composite
+def wide_semigroups(draw):
+    # multiplicity m in [8, 30] and generators up to 3m: F reaches the
+    # hundreds, beyond the oracle's exhaustive range
+    m = draw(st.integers(min_value=8, max_value=30))
+    rest = draw(
+        st.lists(
+            st.integers(min_value=m + 1, max_value=3 * m), min_size=1, max_size=6
+        )
+    )
+    gens = [m, *rest]
+    if math.gcd(*gens) != 1:
+        gens.append(m + 1)
+    return NumericalSemigroup.from_generators(gens)
+
+
+@given(wide_semigroups())
+@settings(deadline=None)
+def test_minimal_generators_match_brute_force_at_large_frobenius(s):
+    assert s.minimal_generators == brute_msg(s)
 
 
 @given(gen_lists)
