@@ -303,14 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="tree between an irreducible semigroup and its small-half closure",
     )
     p.add_argument("--gens", type=_gens_argument, required=True, metavar="a,b,c")
-    p.add_argument(
+    g = p.add_mutually_exclusive_group()  # a slice has no digraph to write
+    g.add_argument(
         "--level",
         type=int,
         default=None,
         metavar="N",
         help="emit only the depth-N slice instead of the whole tree",
     )
-    p.add_argument("--dot", metavar="FILE", help="also write a Graphviz digraph")
+    g.add_argument("--dot", metavar="FILE", help="also write a Graphviz digraph")
     p.add_argument("--json", action="store_true", help="emit JSON lines")
     p.add_argument(
         "--threads", type=_threads_argument, default=1, metavar="N", help=_THREADS_HELP

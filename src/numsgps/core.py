@@ -48,6 +48,11 @@ def _set_bits(x):
     return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
 
 
+def _mirror(x, f):
+    # bit i of the result is bit f - i of x, for x over [0, f]
+    return int(format(x, "0%db" % (f + 1))[::-1], 2)
+
+
 def _closure_bits(gens, limit):
     # bit table over [0, limit] of the monoid generated by gens: shifts by
     # g, 2g, 4g, ... add every multiple of g; a generator already in the
@@ -189,16 +194,14 @@ class NumericalSemigroup:
         f = self.frobenius
         if f < 0:
             return GapProfile((), (), (), (), 0, 0, 0, -1)
-        bits = self.bits
-        small = tuple(i for i in range(f) if (bits >> i) & 1)
-        gaps = tuple(i for i in range(1, f + 1) if not (bits >> i) & 1)
-        first = tuple(f - s for s in reversed(small))
-        second = tuple(x for x in gaps if not (bits >> (f - x)) & 1)
-        l_count = len(second)
-        h_value = second[-1] if l_count >= 2 else -1
-        return GapProfile(
-            gaps, small, first, second, len(gaps), len(small), l_count, h_value
-        )
+        small = self.bits & _bit_range(0, f)
+        gaps = ~self.bits & _bit_range(1, f + 1)
+        second = gaps & _mirror(gaps, f)  # F - x is a gap too
+        l_count = second.bit_count()
+        h_value = second.bit_length() - 1 if l_count >= 2 else -1
+        tuples = (tuple(_set_bits(x)) for x in (gaps, small, gaps & ~second, second))
+        counts = (gaps.bit_count(), small.bit_count(), l_count, h_value)
+        return GapProfile(*tuples, *counts)
 
     @cached_property
     def minimal_generators(self):
@@ -241,17 +244,18 @@ class NumericalSemigroup:
 
     @property
     def canonical_key(self):
-        """Sort key for deterministic set output: the ordered gap list."""
-        return self.gap_profile.gaps
+        """Sort key ordering semigroups first by Frobenius number, then
+        those that share one F as their gap lists do.
+
+        It is the table read backwards over [0, F + 1]: member 0 becomes
+        the top bit F + 1, so a larger F gives a larger key, and within
+        one F the first integer where two tables differ decides.
+        """
+        return _mirror(self.bits, self.frobenius + 1)
 
     def delta(self):
         """Members below half the Frobenius number: {s in S : 2s < F}."""
-        f = self.frobenius
-        return tuple(
-            s
-            for s in range((f + 1) // 2 + 1)
-            if 2 * s < f and (self.bits >> s) & 1
-        )
+        return tuple(_set_bits(self.bits & _bit_range(0, (self.frobenius + 1) // 2)))
 
     # ------------------------------------------------------------------
     # mutations (return new values)
@@ -289,7 +293,7 @@ class NumericalSemigroup:
         f = self.frobenius
         if x != f:
             return NumericalSemigroup(f, bits)
-        nf = next((i for i in range(f - 1, 0, -1) if not (bits >> i) & 1), -1)
+        nf = (~bits & _bit_range(1, f)).bit_length() - 1
         if nf < 0:
             return NumericalSemigroup(-1, 1)
         return NumericalSemigroup(nf, bits & _bit_range(0, nf + 2))
@@ -299,14 +303,15 @@ class NumericalSemigroup:
 
     def validate(self):
         """Exhaustive closure re-check of the bit table; raises NotClosed."""
+        # members i <= F/2 ascending: bit i + j of bad marks each member
+        # j >= i whose sum with i is a gap; the lowest is the first witness
         f = self.frobenius
-        members = [i for i in range(1, f + 1) if (self.bits >> i) & 1]
-        for pos, i in enumerate(members):
-            for j in members[pos:]:
-                if i + j > f:
-                    break
-                if not (self.bits >> (i + j)) & 1:
-                    raise NotClosed(i, j)
+        members = self.bits & ~1
+        gaps = ~self.bits & _bit_range(1, f + 1)
+        for i in _set_bits(members & _bit_range(0, f // 2 + 1)):
+            bad = ((members >> i) << (2 * i)) & gaps
+            if bad:
+                raise NotClosed(i, (bad & -bad).bit_length() - 1 - i)
 
 
 NATURALS = NumericalSemigroup(-1, 1)

@@ -31,7 +31,7 @@ import enum
 from dataclasses import dataclass
 
 from ._util import WorkBudget, map_ordered
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _bit_range
 from .trees import canonical_irreducible, interval_level, irreducible_tree
 
 
@@ -119,15 +119,9 @@ def witness_k_semigroup(k: int, frobenius: int):
         raise ValueError("k must be >= 0, got %d" % k)
     if not feasible(k, frobenius):
         return None
-    seed = canonical_irreducible(frobenius)
-    bits = seed.bits
-    left = k // 2
-    for x in range(frobenius - 1, 0, -1):
-        if left == 0:
-            break
-        if (bits >> x) & 1:
-            bits &= ~(1 << x)
-            left -= 1
+    # C(F) holds all of (F/2, F), and feasibility keeps k // 2 within it
+    bits = canonical_irreducible(frobenius).bits
+    bits &= ~_bit_range(frobenius - k // 2, frobenius)
     witness = NumericalSemigroup(frobenius, bits)
     assert witness.gap_profile.l_count == k
     return witness

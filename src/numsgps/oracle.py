@@ -236,7 +236,8 @@ def all_with_frobenius(frobenius: int):
         bits = 1 | (1 << (f + 1))
         for m in decided_members:
             bits |= 1 << m
-        results.append(NumericalSemigroup(f, bits))
+        gaps = tuple(x for x in range(1, f + 1) if status[x] is False)
+        results.append((gaps, NumericalSemigroup(f, bits)))
 
     def place(x):
         if x == 0:
@@ -261,7 +262,7 @@ def all_with_frobenius(frobenius: int):
         status[x] = None
 
     place(f - 1)
-    return tuple(sorted(results, key=lambda s: s.canonical_key))
+    return tuple(s for _, s in sorted(results, key=lambda pair: pair[0]))
 
 
 # ----------------------------------------------------------------------

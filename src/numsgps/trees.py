@@ -206,14 +206,18 @@ def _bfs(root, expand, budget=None, keep=None):
     return tuple(nodes)
 
 
+def _interval_expand(root):
+    # expand function of the interval tree rooted at the irreducible root
+    l_count = root.gap_profile.l_count
+    if l_count > 1:
+        raise NotIrreducible(root, l_count)
+    f = root.frobenius
+    return lambda sg, label: interval_children(sg, label, f)
+
+
 def interval_tree(root: NumericalSemigroup) -> SemigroupTree:
     """Full interval tree of [theta(I), I] for irreducible I."""
-    profile = root.gap_profile
-    if profile.l_count > 1:
-        raise NotIrreducible(root, profile.l_count)
-    f = root.frobenius
-    nodes = _bfs(root, lambda sg, label: interval_children(sg, label, f))
-    return SemigroupTree(TreeKind.INTERVAL, nodes)
+    return SemigroupTree(TreeKind.INTERVAL, _bfs(root, _interval_expand(root)))
 
 
 def interval_level(root, depth, budget=None):
@@ -226,12 +230,7 @@ def interval_level(root, depth, budget=None):
     """
     if depth < 0:
         raise ValueError("depth must be >= 0, got %d" % depth)
-    profile = root.gap_profile
-    if profile.l_count > 1:
-        raise NotIrreducible(root, profile.l_count)
-    f = root.frobenius
-    expand = lambda sg, label: interval_children(sg, label, f)
-    for n, level in enumerate(_levels(root, expand, budget)):
+    for n, level in enumerate(_levels(root, _interval_expand(root), budget)):
         if n == depth:
             members = (sg for _, sg, _ in level)
             return tuple(sorted(members, key=lambda t: t.canonical_key))

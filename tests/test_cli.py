@@ -200,6 +200,18 @@ def test_interval_tree_dot(capsys, tmp_path):
     assert '"5,14,16,17,18" -> "5,12,14,16,18" [label="12"];' in text
 
 
+def test_interval_tree_level_with_dot_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "level.dot"
+    argv = ["interval-tree", "--gens", "5,7,9,11", "--level", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--dot", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dot" in captured.err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -205,6 +205,11 @@ def test_canonical_key_orders_by_gap_tuple():
     a = sg(5, 6, 7, 8, 9)  # gaps (1,2,3,4)
     b = sg(3, 5, 7)  # gaps (1,2,4)
     assert a.canonical_key < b.canonical_key
+    # across Frobenius numbers the smaller F comes first, even where the
+    # gap lists would order the other way: (1, 3) with F = 3 before
+    # (1, 2, 5) with F = 5
+    assert NATURALS.canonical_key < sg(2, 3).canonical_key
+    assert sg(2, 5).canonical_key < sg(3, 4).canonical_key
 
 
 def test_delta_keeps_small_halves():

@@ -31,6 +31,25 @@ GROUPS_K6_F11 = {
 }
 
 
+# n_g, the number of numerical semigroups of genus g (OEIS A007323;
+# Bras-Amoros, Semigroup Forum 2008), for g = 1..19
+GENUS_COUNTS = (
+    1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857,
+    4806, 8045, 13467, 22464,
+)
+
+
+def _genus_count(g):
+    # 2g = F + 1 + l, so genus g splits over F in [g, 2g - 1] with
+    # l = 2g - F - 1 on each
+    return sum(
+        enumerate_k_semigroups(
+            EnumerationRequest(2 * g - f - 1, f, Mode.COUNT_ONLY)
+        ).total
+        for f in range(g, 2 * g)
+    )
+
+
 def _grouped(result):
     return {
         g.root.minimal_generators: {m.minimal_generators for m in g.members}
@@ -194,3 +213,13 @@ def test_witness_sweep():
             w = witness_k_semigroup(k, f)
             assert w.frobenius == f
             assert w.gap_profile.l_count == k
+
+
+# ----------------------------------------------------------------------
+# genus anchor: summing (K, F) counts over one genus gives n_g
+
+
+def test_genus_counts_match_a007323():
+    # reaches F = 37, beyond the oracle's exhaustive range
+    counts = tuple(_genus_count(g) for g in range(1, 20))
+    assert counts == GENUS_COUNTS

@@ -58,8 +58,14 @@ def test_population_sizes():
 
 
 def test_all_with_frobenius_is_canonically_sorted():
-    for f in (6, 9, 12):
+    # the oracle sorts by gap list; the fast key must agree with its order
+    for f in range(1, 17):
         population = all_with_frobenius(f)
+        gap_lists = [
+            tuple(x for x in range(1, f + 1) if x not in s) for s in population
+        ]
+        assert gap_lists == sorted(gap_lists)
+        assert len(set(gap_lists)) == len(gap_lists)
         keys = [s.canonical_key for s in population]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)

@@ -2,10 +2,18 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from numsgps import NumericalSemigroup, brute_msg, pseudo_frobenius, theta
+from numsgps import (
+    NotClosed,
+    NumericalSemigroup,
+    brute_l,
+    brute_msg,
+    pseudo_frobenius,
+    theta,
+)
 
 gen_lists = st.lists(
     st.integers(min_value=2, max_value=60), min_size=2, max_size=6
@@ -161,10 +169,10 @@ def test_removal_below_h_still_raises_l(gens):
 
 
 @st.composite
-def wide_semigroups(draw):
-    # multiplicity m in [8, 30] and generators up to 3m: F reaches the
-    # hundreds, beyond the oracle's exhaustive range
-    m = draw(st.integers(min_value=8, max_value=30))
+def wide_semigroups(draw, max_multiplicity=30):
+    # multiplicity m in [8, max_multiplicity] and generators up to 3m: F
+    # reaches the hundreds, beyond the oracle's exhaustive range
+    m = draw(st.integers(min_value=8, max_value=max_multiplicity))
     rest = draw(
         st.lists(
             st.integers(min_value=m + 1, max_value=3 * m), min_size=1, max_size=6
@@ -180,6 +188,54 @@ def wide_semigroups(draw):
 @settings(deadline=None)
 def test_minimal_generators_match_brute_force_at_large_frobenius(s):
     assert s.minimal_generators == brute_msg(s)
+
+
+@given(wide_semigroups())
+@settings(deadline=None)
+def test_gap_kernels_match_definitions_at_large_frobenius(s):
+    f = s.frobenius
+    p = s.gap_profile
+    gaps = tuple(x for x in range(1, f + 1) if x not in s)
+    # second kind: F - x is not a small element, i.e. it is a gap too
+    second = [x for x in gaps if f - x not in s]
+    assert p.gaps == gaps
+    assert p.l_count == brute_l(s) == len(second)
+    assert p.h_value == max((x for x in second if 2 * x != f), default=-1)
+    assert s.delta() == tuple(x for x in range(f) if 2 * x < f and x in s)
+    assert NumericalSemigroup.from_gap_set(s.gaps) == s
+
+
+def _first_closure_witness(members, f):
+    # the lexicographically first pair i <= j of members with i + j a gap
+    member_set = set(members)
+    for pos, i in enumerate(members):
+        for j in members[pos:]:
+            if i + j > f:
+                break
+            if i + j not in member_set:
+                return (i, j)
+    return None
+
+
+@given(
+    wide_semigroups(max_multiplicity=12),
+    st.lists(st.integers(min_value=0), min_size=1, max_size=4),
+)
+@settings(deadline=None)
+def test_not_closed_witness_matches_brute_scan(s, picks):
+    # turn some members that are not generators (2m among them) into
+    # gaps; several new gaps give a member i more than one bad partner
+    top = s.frobenius + s.multiplicity
+    sums = [x for x in range(1, top + 1) if x in s and x not in s.minimal_generators]
+    assert sums
+    removed = {sums[p % len(sums)] for p in picks}
+    f = max(s.frobenius, *removed)
+    members = [y for y in range(1, f + 1) if y in s and y not in removed]
+    expected = _first_closure_witness(members, f)
+    assert expected is not None
+    with pytest.raises(NotClosed) as exc:
+        NumericalSemigroup.from_gap_set([*s.gaps, *removed])
+    assert exc.value.witness == expected
 
 
 @given(gen_lists)

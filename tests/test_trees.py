@@ -198,8 +198,10 @@ def test_interval_level_golden_single():
 
 
 def test_interval_level_is_canonically_sorted():
-    level = interval_level(sg(5, 7, 9, 11), 2)
-    assert list(level) == sorted(level, key=lambda s: s.canonical_key)
+    for root, depth in ((sg(5, 7, 9, 11), 2), (canonical_irreducible(21), 3)):
+        level = interval_level(root, depth)
+        assert len(level) > 1
+        assert list(level) == sorted(level, key=lambda s: s.gaps)
 
 
 def test_interval_children_respect_label_floor():
