@@ -3,7 +3,8 @@
 pseudo_frobenius computes PF(S) = {x not in S : x + s in S for all
 nonzero s in S}; its size is the type t(S).  Testing candidates against
 the minimal generators alone is enough, since every member is a sum of
-generators.
+generators, so PF(S) is one mask: the gaps, ANDed with the member table
+shifted down by each generator.
 
 classify packages the l-driven predicates: symmetric (l = 0),
 pseudo-symmetric (l = 1), irreducible (l <= 1), plus two removal-based
@@ -27,7 +28,7 @@ membership tests on h = h(S), giving the pf_fast_* paths:
 
 from dataclasses import dataclass
 
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _bit_range, _set_bits
 from .errors import NotThreeSemigroup, NotTwoSemigroup
 
 
@@ -54,12 +55,14 @@ def pseudo_frobenius(s: NumericalSemigroup) -> PseudoFrobeniusSet:
     """PF(S) with F(S) always included; PF(N) = {-1} by convention."""
     if s.frobenius < 0:
         return PseudoFrobeniusSet((-1,), 1)
+    f = s.frobenius
     gens = s.minimal_generators
-    values = tuple(
-        x
-        for x in s.gap_profile.gaps
-        if all(s.contains(x + g) for g in gens)
-    )
+    # members up to F + max(gens), the largest sum a gap can reach
+    ext = s.bits | _bit_range(f + 2, f + gens[-1] + 1)
+    pf = ~s.bits & _bit_range(1, f + 1)
+    for g in gens:
+        pf &= ext >> g
+    values = tuple(_set_bits(pf))
     return PseudoFrobeniusSet(values, len(values))
 
 
@@ -118,22 +121,28 @@ def in_family_u(s: NumericalSemigroup) -> bool:
     return False
 
 
-def classify(s: NumericalSemigroup) -> ClassificationReport:
-    """Full l-based classification report."""
+def _l_flags(s):
+    # (l, symmetric, pseudo_symmetric, irreducible), all read off l
     profile = s.gap_profile
     l_count = profile.l_count
     symmetric = l_count == 0
     pseudo_symmetric = l_count == 1
     # genus characterizations, kept as internal consistency checks
-    if symmetric:
-        assert 2 * profile.genus == s.frobenius + 1
-    if pseudo_symmetric:
-        assert 2 * profile.genus == s.frobenius + 2
+    if symmetric and 2 * profile.genus != s.frobenius + 1:
+        raise AssertionError("l = 0 but 2g != F + 1 for %r" % s)
+    if pseudo_symmetric and 2 * profile.genus != s.frobenius + 2:
+        raise AssertionError("l = 1 but 2g != F + 2 for %r" % s)
+    return l_count, symmetric, pseudo_symmetric, l_count <= 1
+
+
+def classify(s: NumericalSemigroup) -> ClassificationReport:
+    """Full l-based classification report."""
+    l_count, symmetric, pseudo_symmetric, irreducible = _l_flags(s)
     return ClassificationReport(
         l_count=l_count,
         symmetric=symmetric,
         pseudo_symmetric=pseudo_symmetric,
-        irreducible=l_count <= 1,
+        irreducible=irreducible,
         ursy=is_ursy(s),
         urpsy=is_urpsy(s),
         in_family_u=in_family_u(s),
@@ -160,7 +169,8 @@ def pf_fast_3sg(s: NumericalSemigroup) -> PseudoFrobeniusSet:
         raise NotThreeSemigroup(s, profile.l_count)
     f = s.frobenius
     # odd l forces an even Frobenius number (F/2 is the fixed point of L)
-    assert f % 2 == 0
+    if f % 2:
+        raise AssertionError("l = 3 but F = %d is odd for %r" % (f, s))
     h = profile.h_value
     values = {f, h}
     if not s.contains(h - f // 2):

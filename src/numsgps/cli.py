@@ -19,15 +19,17 @@ traversed tree as a Graphviz digraph (edges point from child to parent,
 labeled with the removed generator).
 
 Exit codes: 0 success (including an empty but well-posed listing),
-1 verification mismatch, 2 usage or domain error.
+1 verification mismatch, 2 usage or domain error, 141 (128 + SIGPIPE)
+when the reader closes stdout early, as in `numsgps ... | head`.
 """
 
 import argparse
 import contextlib
 import json
+import os
 import sys
 
-from .classify import classify, pseudo_frobenius
+from .classify import _l_flags, pseudo_frobenius
 from .core import NumericalSemigroup
 from .enumeration import EnumerationRequest, Mode, enumerate_k_semigroups
 from .errors import NumericalSemigroupError
@@ -61,7 +63,7 @@ def semigroup_record(s: NumericalSemigroup) -> dict:
     """The serialization schema used by every record-producing command."""
     profile = s.gap_profile
     pf = pseudo_frobenius(s)
-    report = classify(s)
+    _, symmetric, pseudo_symmetric, irreducible = _l_flags(s)
     return {
         "frobenius": s.frobenius,
         "genus": profile.genus,
@@ -73,9 +75,9 @@ def semigroup_record(s: NumericalSemigroup) -> dict:
         "gaps": list(profile.gaps),
         "pseudo_frobenius": list(pf.values),
         "flags": {
-            "symmetric": report.symmetric,
-            "pseudo_symmetric": report.pseudo_symmetric,
-            "irreducible": report.irreducible,
+            "symmetric": symmetric,
+            "pseudo_symmetric": pseudo_symmetric,
+            "irreducible": irreducible,
         },
     }
 
@@ -358,7 +360,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit; send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (NumericalSemigroupError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -123,5 +123,6 @@ def witness_k_semigroup(k: int, frobenius: int):
     bits = canonical_irreducible(frobenius).bits
     bits &= ~_bit_range(frobenius - k // 2, frobenius)
     witness = NumericalSemigroup(frobenius, bits)
-    assert witness.gap_profile.l_count == k
+    if witness.gap_profile.l_count != k:
+        raise AssertionError("witness for K=%d F=%d must have l = K" % (k, frobenius))
     return witness

@@ -272,10 +272,12 @@ def irreducible_tree(
     With prune_threshold = t, nodes with theta_surplus < t are dropped
     together with their subtrees; the strict decrease of theta_surplus
     along edges makes that lossless for any consumer that only wants
-    nodes with theta_surplus >= t.
+    nodes with theta_surplus >= t.  A negative t raises ValueError.
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1, got %d" % frobenius)
+    if prune_threshold is not None and prune_threshold < 0:
+        raise ValueError("prune_threshold must be >= 0, got %d" % prune_threshold)
     keep = None
     if prune_threshold is not None:
         keep = lambda sg: theta_surplus(sg) >= prune_threshold

@@ -16,7 +16,7 @@ from numsgps import (
     urpsy_witness,
     ursy_witness,
 )
-from support import sg
+from support import python, sg
 
 
 # ----------------------------------------------------------------------
@@ -125,6 +125,37 @@ def test_classify_naturals():
     report = classify(NATURALS)
     assert report.symmetric
     assert report.irreducible
+
+
+def test_consistency_checks_survive_python_O():
+    # -O strips assert statements; the identity checks must still fire
+    script = (
+        "import dataclasses\n"
+        "from numsgps import NumericalSemigroup, classify, pf_fast_3sg\n"
+        "s = NumericalSemigroup.from_generators((5, 7, 9, 11))\n"
+        "good = s.gap_profile\n"
+        "for profile, check in (\n"
+        "    (dataclasses.replace(good, genus=good.genus + 1), classify),\n"
+        "    (dataclasses.replace(good, l_count=3), pf_fast_3sg),\n"
+        "):\n"
+        "    s.__dict__['gap_profile'] = profile\n"
+        "    try:\n"
+        "        check(s)\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        raise SystemExit('no check fired')\n"
+    )
+    optimized = python("-O", "-c", script)
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout.decode().splitlines() == [
+        "l = 0 but 2g != F + 1 for NumericalSemigroup<5,7,9,11>",
+        "l = 3 but F = 13 is odd for NumericalSemigroup<5,7,9,11>",
+    ]
+    argv = ("-m", "numsgps.cli", "info", "--gens", "5,7,9,11", "--json")
+    plain, stripped = python(*argv), python("-O", *argv)
+    assert plain.returncode == stripped.returncode == 0
+    assert stripped.stdout == plain.stdout
 
 
 # ----------------------------------------------------------------------

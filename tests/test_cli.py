@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
+from numsgps import all_with_frobenius, classify
 from numsgps.cli import main, semigroup_record
-from support import sg
+from support import SRC_ENV, sg
 
 
 def run(capsys, *argv):
@@ -113,6 +117,15 @@ def test_irreducibles_f1(capsys):
     records = [json.loads(line) for line in out.strip().split("\n")]
     assert len(records) == 1
     assert records[0]["min_generators"] == [2, 3]
+
+
+def test_irreducibles_rejects_negative_min_delta(capsys):
+    code, out, err = run(
+        capsys, "irreducibles", "--frobenius", "3", "--min-delta", "-2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "-2" in err
 
 
 def test_irreducibles_rejects_low_frobenius(capsys):
@@ -338,6 +351,60 @@ def test_verify_bound(capsys):
     code, out, err = run(capsys, "verify", "--max-frobenius", "99")
     assert code == 2
     assert err.startswith("error:")
+
+
+# ----------------------------------------------------------------------
+# the record path
+
+
+def test_record_flags_match_classify():
+    # records read their flags off l alone; classify is the full report
+    population = [sg(1)]
+    for f in range(1, 17):
+        population.extend(all_with_frobenius(f))
+    for s in population:
+        report = classify(s)
+        assert semigroup_record(s)["flags"] == {
+            "symmetric": report.symmetric,
+            "pseudo_symmetric": report.pseudo_symmetric,
+            "irreducible": report.irreducible,
+        }
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("info", "--gens", "399,400", "--json"),
+            "35c5187df60f6eb086f56ecdef4d5a5e65032fff5ff1efbe432e99c6c9fe751a",
+        ),
+        (
+            ("ksemigroups", "--json", "--l", "6", "--frobenius", "27"),
+            "305aba7fde7dc02ed18a7207411f48bf93729aac3df263d510c78ea66d08893f",
+        ),
+    ],
+)
+def test_record_output_golden(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_closed_pipe_exits_quietly():
+    # about 1,207 records, far more than a pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "numsgps.cli", "ksemigroups", "--json",
+         "--l", "6", "--frobenius", "27"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=SRC_ENV,
+    )
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from numsgps import (
     NotClosed,
     NotMinimalGenerator,
     NumericalSemigroup,
+    pseudo_frobenius,
 )
 from support import sg
 
@@ -191,6 +192,10 @@ def test_two_generator_sylvester_anchor(a, b):
     assert s.frobenius == a * b - a - b
     assert s.frobenius + 2 - s.bits.bit_count() == (a - 1) * (b - 1) // 2
     assert s.minimal_generators == (a, b)
+    # two-generated semigroups are symmetric: PF = {F}, so the type is 1
+    pf = pseudo_frobenius(s)
+    assert pf.values == (s.frobenius,)
+    assert pf.type_count == 1
 
 
 def test_multiplicity_and_embedding_dimension():

@@ -11,6 +11,7 @@ from numsgps import (
     NumericalSemigroup,
     brute_l,
     brute_msg,
+    brute_pf,
     pseudo_frobenius,
     theta,
 )
@@ -188,6 +189,12 @@ def wide_semigroups(draw, max_multiplicity=30):
 @settings(deadline=None)
 def test_minimal_generators_match_brute_force_at_large_frobenius(s):
     assert s.minimal_generators == brute_msg(s)
+
+
+@given(wide_semigroups())
+@settings(deadline=None)
+def test_pseudo_frobenius_matches_brute_force_at_large_frobenius(s):
+    assert pseudo_frobenius(s).values == brute_pf(s)
 
 
 @given(wide_semigroups())

@@ -280,6 +280,11 @@ def test_irreducible_tree_pruning():
     assert len(irreducible_tree(11, prune_threshold=0)) == 6
 
 
+def test_irreducible_tree_rejects_negative_threshold():
+    with pytest.raises(ValueError, match="-2"):
+        irreducible_tree(3, prune_threshold=-2)
+
+
 def test_irreducible_tree_rejects_low_frobenius():
     with pytest.raises(ValueError):
         irreducible_tree(0)
