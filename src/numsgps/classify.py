@@ -12,7 +12,9 @@ shapes.  S is URSY when S = T \\ {x} for a symmetric T and a minimal
 generator x of T, and URPSY likewise with T pseudo-symmetric.  The only
 candidates for the filled-in gap are pseudo-Frobenius numbers y of S
 with 2y in S, because T = S union {y} must be closed; the witness scans
-below try exactly those.
+below try exactly those.  Each such y is a minimal generator of T: a sum
+y = a + b of nonzero members of T has a, b < y, so both lie in S, and
+closure of S would put y in S.
 
 The semigroups with l = 2 are exactly the URSY ones with multiplicity
 at least 3, and the semigroups with l = 3 are exactly the URPSY ones
@@ -28,7 +30,7 @@ membership tests on h = h(S), giving the pf_fast_* paths:
 
 from dataclasses import dataclass
 
-from .core import NumericalSemigroup, _bit_range, _set_bits
+from .core import NumericalSemigroup, _bit_range, _mirror, _set_bits
 from .errors import NotThreeSemigroup, NotTwoSemigroup
 
 
@@ -67,18 +69,21 @@ def pseudo_frobenius(s: NumericalSemigroup) -> PseudoFrobeniusSet:
 
 
 def _witness(s, want_l):
-    # shared scan: smallest filled-in gap y whose parent S union {y}
-    # is a semigroup with l(parent) == want_l and y minimal in it
+    # shared scan: smallest filled-in gap y whose parent S union {y} is
+    # a semigroup with l(parent) == want_l, read off the parent's gaps
+    # without building it; y is then minimal in the parent (see above)
     if s.frobenius < 1:
         return None
+    gaps = ~s.bits & _bit_range(1, s.frobenius + 1)
     for y in pseudo_frobenius(s).values:
         if not s.contains(2 * y):
             continue
-        parent = s._adjoin(y)
-        if parent.gap_profile.l_count != want_l:
-            continue
-        if y in parent.minimal_generators:
-            return parent, y
+        # the parent's Frobenius number drops when y = F, down to -1 when
+        # the parent is N, whose gap mask is 0
+        parent_gaps = gaps & ~(1 << y)
+        parent_f = parent_gaps.bit_length() - 1
+        if (parent_gaps & _mirror(parent_gaps, parent_f)).bit_count() == want_l:
+            return s._adjoin(y), y
     return None
 
 

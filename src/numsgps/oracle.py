@@ -8,6 +8,15 @@ subtracting members, delta and theta by direct closure sieves,
 irreducibility by maximality among all semigroups sharing the Frobenius
 number, URSY/URPSY by trying every gap as the filled-in element.
 
+Maximality is decided maximal-first: the population is visited by
+member count, largest first, and S is maximal exactly when no maximal
+semigroup already found contains it.  That is still the definition, not
+a criterion: a strict superset of S has more members, so it is visited
+before S, and a non-maximal S lies inside some maximal member of the
+(finite) population, which is then already found.  The subset tests
+are on an int of each table's members, so the sweep costs
+O(n * #irreducibles) subset tests instead of O(n**2).
+
 all_with_frobenius(f) enumerates every numerical semigroup with
 Frobenius number f by deciding membership of f-1, f-2, ..., 1 in that
 order (0 is in, f is out, everything above f is in), pruning any partial
@@ -148,7 +157,8 @@ def _tbl_msg(t):
     for s in range(1, f + m + 1):
         if not t.contains(s):
             continue
-        if any(t.contains(a) and t.contains(s - a) for a in range(1, s)):
+        # a split s = a + b has a smaller summand a <= s/2
+        if any(t.contains(a) and t.contains(s - a) for a in range(1, s // 2 + 1)):
             continue
         out.append(s)
     return out
@@ -180,11 +190,24 @@ def _tbl_theta_surplus(t):
     return len([m for m in t.members if 0 < m < t.frobenius and m not in reach])
 
 
-def _tbl_subset(a: _MemberTable, b: _MemberTable) -> bool:
-    # is a contained in b
-    if b.frobenius > a.frobenius:
-        return False
-    return all(b.contains(m) for m in a.members)
+def _tbl_mask(t):
+    # the members in [0, F] as one int: within one F, a is contained in b
+    # exactly when a & ~b == 0
+    return sum(1 << m for m in t.members)
+
+
+def _tbl_maximal(masks):
+    """The semigroups of one population that no other one contains.
+
+    masks maps each semigroup to the _tbl_mask of its table, all sharing
+    one F; the module docstring says why maximal-first is maximality.
+    """
+    found = []
+    for s in sorted(masks, key=lambda s: -masks[s].bit_count()):
+        a = masks[s]
+        if all(a & ~b for _, b in found):
+            found.append((s, a))
+    return {s for s, _ in found}
 
 
 def _tbl_adjoin(t: _MemberTable, y: int) -> _MemberTable:
@@ -197,18 +220,22 @@ def _tbl_adjoin(t: _MemberTable, y: int) -> _MemberTable:
     return _MemberTable(f, frozenset(m for m in members if m <= f))
 
 
-def _tbl_removal_witness(t: _MemberTable, want_l: int):
-    # smallest gap y with T = S union {y} a semigroup, l(T) == want_l
-    # and y a minimal generator of T
+def _tbl_removal_ls(t: _MemberTable):
+    # the l values among {0, 1} reached by some semigroup T = S union {y}
+    # with y a gap of S and a minimal generator of T; one pass over the gaps
+    found = set()
     for y in _tbl_gaps(t):
         cand = _tbl_adjoin(t, y)
         if not _tbl_closed(cand):
             continue
-        if _tbl_l(cand) != want_l:
+        l_count = _tbl_l(cand)
+        if l_count > 1 or l_count in found:
             continue
         if y in _tbl_msg(cand):
-            return cand, y
-    return None
+            found.add(l_count)
+            if len(found) == 2:
+                break
+    return found
 
 
 # ----------------------------------------------------------------------
@@ -313,61 +340,52 @@ def crosscheck(f_max: int):
     for f in range(1, f_max + 1):
         population = all_with_frobenius(f)
         tables = {s: _MemberTable.of(s) for s in population}
+        # brute facts computed once per semigroup, kept for this F only
+        masks = {s: _tbl_mask(t) for s, t in tables.items()}
+        l_of = {s: _tbl_l(t) for s, t in tables.items()}
+        delta_of = {s: _tbl_delta(t) for s, t in tables.items()}
 
         # irreducible tree nodes versus maximality in the population
-        brute_irr = {
-            s
-            for s in population
-            if not any(
-                other is not s and _tbl_subset(tables[s], tables[other])
-                for other in population
-            )
-        }
+        brute_irr = _tbl_maximal(masks)
         fast_irr = set(irreducible_tree(f).semigroups())
         check((f,), "irreducible_tree node set F=%d" % f, brute_irr, fast_irr)
 
         for s in population:
             t = tables[s]
             gens = _tbl_msg(t)
+            gaps = _tbl_gaps(t)
+            small = _tbl_small(t)
+            pf = _tbl_pf(t)
+            bl = l_of[s]
             profile = s.gap_profile
 
-            check(gens, "gaps", _tbl_gaps(t), list(profile.gaps))
-            check(gens, "small_elements", _tbl_small(t), list(profile.small_elements))
+            check(gens, "gaps", gaps, list(profile.gaps))
+            check(gens, "small_elements", small, list(profile.small_elements))
             check(gens, "first_kind", _tbl_first_kind(t), list(profile.first_kind))
             check(gens, "second_kind", _tbl_second_kind(t), list(profile.second_kind))
-            check(gens, "l", _tbl_l(t), profile.l_count)
+            check(gens, "l", bl, profile.l_count)
             check(gens, "h", _tbl_h(t), profile.h_value)
-            check(gens, "genus", len(_tbl_gaps(t)), profile.genus)
+            check(gens, "genus", len(gaps), profile.genus)
             check(gens, "minimal_generators", gens, list(s.minimal_generators))
-            check(gens, "pseudo_frobenius", _tbl_pf(t), list(pseudo_frobenius(s).values))
-            check(gens, "delta", _tbl_delta(t), list(s.delta()))
+            check(gens, "pseudo_frobenius", pf, list(pseudo_frobenius(s).values))
+            check(gens, "delta", delta_of[s], list(s.delta()))
             check(gens, "theta_surplus", _tbl_theta_surplus(t), theta_surplus(s))
 
             report = classify(s)
-            bl = _tbl_l(t)
+            removal_ls = _tbl_removal_ls(t)
             check(gens, "symmetric", bl == 0, report.symmetric)
             check(gens, "pseudo_symmetric", bl == 1, report.pseudo_symmetric)
             check(gens, "irreducible(l<=1)", s in brute_irr, report.irreducible)
-            check(
-                gens,
-                "ursy",
-                _tbl_removal_witness(t, 0) is not None,
-                report.ursy,
-            )
-            check(
-                gens,
-                "urpsy",
-                _tbl_removal_witness(t, 1) is not None,
-                report.urpsy,
-            )
+            check(gens, "ursy", 0 in removal_ls, report.ursy)
+            check(gens, "urpsy", 1 in removal_ls, report.urpsy)
             if bl == 2:
-                check(gens, "pf_fast_2sg", _tbl_pf(t), list(pf_fast_2sg(s).values))
+                check(gens, "pf_fast_2sg", pf, list(pf_fast_2sg(s).values))
             if bl == 3:
-                check(gens, "pf_fast_3sg", _tbl_pf(t), list(pf_fast_3sg(s).values))
+                check(gens, "pf_fast_3sg", pf, list(pf_fast_3sg(s).values))
 
             # the gap-count form of Wilf's condition
             e = len(gens)
-            n = len(_tbl_small(t))
+            n = len(small)
             check(gens, "wilf l<=(e-2)n", True, bl <= (e - 2) * n)
 
             if s in brute_irr:
@@ -375,8 +393,7 @@ def crosscheck(f_max: int):
                 brute_interval = {
                     other
                     for other in population
-                    if _tbl_subset(tables[other], t)
-                    and _tbl_delta(tables[other]) == _tbl_delta(t)
+                    if masks[other] & ~masks[s] == 0 and delta_of[other] == delta_of[s]
                 }
                 check(
                     gens,
@@ -390,7 +407,7 @@ def crosscheck(f_max: int):
                         gens,
                         "interval depth %d l" % node.depth,
                         2 * node.depth + bl,
-                        _tbl_l(tables[node.semigroup]),
+                        l_of[node.semigroup],
                     )
                 for parent, child, label in tree.edges():
                     check(gens, "edge parent", parent, child._adjoin(label))
@@ -412,7 +429,7 @@ def crosscheck(f_max: int):
         totals = 0
         for k in range(0, f + 1):
             result = enumerate_k_semigroups(EnumerationRequest(k, f))
-            brute_set = {s for s in population if _tbl_l(tables[s]) == k}
+            brute_set = {s for s in population if l_of[s] == k}
             if not result.feasible:
                 check((f, k), "infeasible (K,F) really empty F=%d K=%d" % (f, k), set(), brute_set)
                 continue

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numsgps
+import numsgps.oracle
 from numsgps import NumericalSemigroup
 
 # the environment of a subprocess that imports the numsgps under test
@@ -30,3 +32,17 @@ def python(*args: str, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], capture_output=True, env=SRC_ENV, **kwargs
     )
+
+
+def plant_flipped_flag(monkeypatch, flag, target):
+    """Make the classify that numsgps.oracle compares against report the
+    boolean field flag flipped on the semigroup target, and right elsewhere."""
+    real = numsgps.oracle.classify
+
+    def faulty(s):
+        report = real(s)
+        if s != target:
+            return report
+        return dataclasses.replace(report, **{flag: not getattr(report, flag)})
+
+    monkeypatch.setattr(numsgps.oracle, "classify", faulty)

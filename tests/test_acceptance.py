@@ -162,8 +162,8 @@ def test_criterion_05_l_count_goldens():
 
 def test_criterion_06_oracle_sweep():
     started = time.perf_counter()
-    assert crosscheck(15) == []
-    for f in range(1, 16):
+    assert crosscheck(18) == []
+    for f in range(1, 19):
         population = all_with_frobenius(f)
         total = sum(
             enumerate_k_semigroups(EnumerationRequest(k, f)).total
@@ -172,7 +172,7 @@ def test_criterion_06_oracle_sweep():
         assert total == len(population)
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
-    print("PASS criterion 6: zero mismatches through F=15, counts add up")
+    print("PASS criterion 6: zero mismatches through F=18, counts add up")
 
 
 def test_criterion_07_surplus_laws():

@@ -6,6 +6,7 @@ from numsgps import (
     NATURALS,
     NotThreeSemigroup,
     NotTwoSemigroup,
+    all_with_frobenius,
     classify,
     in_family_u,
     is_urpsy,
@@ -261,3 +262,43 @@ def test_urpsy_sporadic_outside_family_u():
     assert urpsy_witness(s) == (sg(3, 5, 7), 5)
     assert s.gap_profile.l_count == 2
     assert not in_family_u(s)
+
+
+# ----------------------------------------------------------------------
+# the mask witnesses against the definition
+
+
+def _scanned_witness(s, want_l):
+    # the parent built and read through its gap profile and generators
+    if s.frobenius < 1:
+        return None
+    for y in pseudo_frobenius(s).values:
+        if not s.contains(2 * y):
+            continue
+        parent = s._adjoin(y)
+        if parent.gap_profile.l_count != want_l:
+            continue
+        if y in parent.minimal_generators:
+            return parent, y
+    return None
+
+
+def test_witnesses_equal_the_scan_on_every_small_semigroup():
+    for f in range(1, 17):
+        for s in all_with_frobenius(f):
+            assert ursy_witness(s) == _scanned_witness(s, 0)
+            assert urpsy_witness(s) == _scanned_witness(s, 1)
+
+
+@pytest.mark.parametrize(
+    "s, witness, expected",
+    [
+        # the parent is N, with F = -1
+        (sg(2, 3), ursy_witness, (NATURALS, 1)),
+        # y = F(<3,5>) = 7: the parent <3,5,7> has F = 4, three below y
+        (sg(3, 5), urpsy_witness, (sg(3, 5, 7), 7)),
+    ],
+)
+def test_witness_where_the_frobenius_number_drops(s, witness, expected):
+    assert witness(s) == expected
+    assert _scanned_witness(s, expected[0].gap_profile.l_count) == expected

@@ -9,7 +9,7 @@ import pytest
 
 from numsgps import all_with_frobenius, classify
 from numsgps.cli import main, semigroup_record
-from support import SRC_ENV, sg
+from support import SRC_ENV, plant_flipped_flag, sg
 
 
 def run(capsys, *argv):
@@ -345,6 +345,16 @@ def test_verify_clean(capsys):
     code, out, err = run(capsys, "verify", "--max-frobenius", "6")
     assert code == 0
     assert out.startswith("ok:")
+
+
+def test_verify_reports_a_planted_fault(capsys, monkeypatch):
+    plant_flipped_flag(monkeypatch, "ursy", sg(3, 5, 7))
+    code, out, err = run(capsys, "verify", "--max-frobenius", "6")
+    assert code == 1
+    assert err == ""
+    assert out.splitlines() == [
+        "MISMATCH gens=3,5,7 op=ursy expected=False actual=True"
+    ]
 
 
 def test_verify_bound(capsys):

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import ast
+import dataclasses
+import inspect
+
 import pytest
 
+import numsgps.oracle
 from numsgps import (
     BoundExceeded,
     ORACLE_MAX_FROBENIUS,
@@ -12,7 +17,8 @@ from numsgps import (
     crosscheck,
     pseudo_frobenius,
 )
-from support import sg
+from numsgps.oracle import _MemberTable, _tbl_mask, _tbl_maximal
+from support import plant_flipped_flag, sg
 
 # how many numerical semigroups exist per Frobenius number
 # for F = 1..22 (OEIS A124506), the oracle's whole allowed range
@@ -121,3 +127,108 @@ def test_crosscheck_guards():
         crosscheck(0)
     with pytest.raises(BoundExceeded):
         crosscheck(ORACLE_MAX_FROBENIUS + 1)
+
+
+# ----------------------------------------------------------------------
+# the maximal-first sweep is maximality
+
+
+def test_maximal_first_equals_pairwise_maximality():
+    for f in range(1, 15):
+        population = all_with_frobenius(f)
+        members = {s: {x for x in range(f + 1) if x in s} for s in population}
+        pairwise = {
+            s
+            for s in population
+            if not any(o != s and members[s] <= members[o] for o in population)
+        }
+        masks = {s: _tbl_mask(_MemberTable.of(s)) for s in population}
+        assert _tbl_maximal(masks) == pairwise
+
+
+# ----------------------------------------------------------------------
+# a planted fault in any compared operation is reported
+
+
+def _operations(reports):
+    return {report.operation for report in reports}
+
+
+def test_crosscheck_reports_a_dropped_irreducible_node(monkeypatch):
+    real = numsgps.oracle.irreducible_tree
+
+    def faulty(f, *args, **kwargs):
+        tree = real(f, *args, **kwargs)
+        if f != 8:
+            return tree
+        return dataclasses.replace(tree, nodes=tree.nodes[:-1])
+
+    monkeypatch.setattr(numsgps.oracle, "irreducible_tree", faulty)
+    assert _operations(crosscheck(8)) == {"irreducible_tree node set F=8"}
+
+
+def test_crosscheck_reports_a_dropped_interval_node(monkeypatch):
+    # the interval tree of <3,5,7> is the root and <5,6,7,8,9>
+    real = numsgps.oracle.interval_tree
+
+    def faulty(root):
+        tree = real(root)
+        if root != sg(3, 5, 7):
+            return tree
+        return dataclasses.replace(tree, nodes=tree.nodes[:-1])
+
+    monkeypatch.setattr(numsgps.oracle, "interval_tree", faulty)
+    assert _operations(crosscheck(8)) == {
+        "interval_tree node set",
+        "interval_tree height",
+    }
+
+
+@pytest.mark.parametrize("flag", ["ursy", "urpsy"])
+def test_crosscheck_reports_a_flipped_removal_flag(monkeypatch, flag):
+    plant_flipped_flag(monkeypatch, flag, sg(3, 5, 7))
+    reports = crosscheck(8)
+    assert _operations(reports) == {flag}
+    assert [r.generators for r in reports] == [(3, 5, 7)]
+
+
+def test_crosscheck_reports_a_dropped_enumerated_member(monkeypatch):
+    real = numsgps.oracle.enumerate_k_semigroups
+
+    def faulty(req, *args, **kwargs):
+        result = real(req, *args, **kwargs)
+        if (req.k, req.frobenius) != (2, 7):
+            return result
+        first, *rest = result.groups
+        first = dataclasses.replace(first, members=first.members[1:])
+        return dataclasses.replace(result, groups=(first, *rest))
+
+    monkeypatch.setattr(numsgps.oracle, "enumerate_k_semigroups", faulty)
+    assert _operations(crosscheck(8)) == {"enumerate K=2 F=7"}
+
+
+# ----------------------------------------------------------------------
+# the oracle stays independent of the fast kernels
+
+
+def test_oracle_imports_no_private_kernel():
+    tree = ast.parse(inspect.getsource(numsgps.oracle))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not names & {"_bit_range", "_mirror", "_set_bits", "_closure_bits"}
+    # perfbench and the fault tests above substitute these by name
+    for name in (
+        "classify",
+        "pseudo_frobenius",
+        "irreducible_tree",
+        "interval_tree",
+        "enumerate_k_semigroups",
+        "all_with_frobenius",
+    ):
+        assert callable(getattr(numsgps.oracle, name))
