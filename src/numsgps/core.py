@@ -35,7 +35,17 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GcdNotOne, NoSecondKindGap, NotClosed, NotMinimalGenerator
+from .errors import (
+    BoundExceeded,
+    GcdNotOne,
+    NoSecondKindGap,
+    NotClosed,
+    NotMinimalGenerator,
+)
+
+# from_generators closes membership over [0, 2*m*max]; a larger window is
+# refused before anything is allocated (2**24 bits is a 2 MB table)
+MAX_CLOSURE_WINDOW = 1 << 24
 
 
 def _bit_range(lo, hi):
@@ -127,6 +137,7 @@ class NumericalSemigroup:
         Raises GcdNotOne when the generators do not span a cofinite set.
         Membership is closed by shifted ORs on [0, 2*m*max] and trimmed to
         the last gap; the classical bound F < m*max makes this window safe.
+        A window above MAX_CLOSURE_WINDOW raises BoundExceeded.
         """
         gens = sorted({int(g) for g in generators})
         if not gens:
@@ -141,6 +152,9 @@ class NumericalSemigroup:
         if g != 1:
             raise GcdNotOne(gens, g)
         bound = 2 * gens[0] * gens[-1]
+        if bound > MAX_CLOSURE_WINDOW:
+            what = "closure window 2*m*max ="
+            raise BoundExceeded(bound, MAX_CLOSURE_WINDOW, what)
         table = _closure_bits(gens, bound)
         frob = (~table & _bit_range(0, bound + 1)).bit_length() - 1
         return cls(frob, table & _bit_range(0, frob + 2))

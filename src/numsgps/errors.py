@@ -92,14 +92,18 @@ class NotIrreducible(NumericalSemigroupError):
 
 
 class BoundExceeded(NumericalSemigroupError):
-    """A brute-force sweep was asked to go beyond its practical bound."""
+    """An input would make a computation go beyond its supported size.
 
-    def __init__(self, requested, bound):
+    Raised before any work is done: by the brute-force oracle for a
+    Frobenius number above its cap, and by from_generators for a closure
+    window too large to allocate.  what names the requested quantity.
+    """
+
+    def __init__(self, requested, bound, what="requested bound"):
         self.requested = requested
         self.bound = bound
         super().__init__(
-            "requested bound %d exceeds the supported maximum %d"
-            % (requested, bound)
+            "%s %d exceeds the supported maximum %d" % (what, requested, bound)
         )
 
 

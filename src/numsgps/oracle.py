@@ -29,8 +29,10 @@ guard at ORACLE_MAX_FROBENIUS.
 crosscheck(f_max) sweeps every semigroup with Frobenius number up to
 f_max and compares all fast-path operations against the brute
 recomputations, returning a list of mismatch reports that is expected to
-be empty.  Mismatch entries carry the generator list, the operation name
-and both values, enough to reproduce by hand.
+be empty.  That includes the order of each enumeration group's members,
+checked against the population's own gap-list order.  Mismatch entries
+carry the generator list, the operation name and both values, enough to
+reproduce by hand.
 """
 
 from dataclasses import dataclass
@@ -425,7 +427,9 @@ def crosscheck(f_max: int):
                     )
                     check(gens, "edge label is h(child)", _tbl_h(tables[child]), label)
 
-        # enumeration by (K, F) partitions the population by l
+        # enumeration by (K, F) partitions the population by l, and each
+        # group lists its members in the population's gap-tuple order
+        rank = {s: i for i, s in enumerate(population)}
         totals = 0
         for k in range(0, f + 1):
             result = enumerate_k_semigroups(EnumerationRequest(k, f))
@@ -446,6 +450,16 @@ def crosscheck(f_max: int):
                 len(set(members)),
                 len(members),
             )
+            for group in result.groups:
+                # a member outside the population ranks first here; the
+                # set comparison above already reports it
+                in_order = sorted(group.members, key=lambda m: rank.get(m, -1))
+                check(
+                    (f, k),
+                    "enumerate order K=%d F=%d" % (k, f),
+                    in_order,
+                    list(group.members),
+                )
             totals += result.total
         check((f,), "sum of counts covers population F=%d" % f, len(population), totals)
 

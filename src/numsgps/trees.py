@@ -43,6 +43,22 @@ drops only nodes whose entire subtree is below t.
 Both traversals are breadth-first with children ordered by edge label
 ascending, so node order is deterministic.  One sequential level
 generator drives every walk, keeping only the current level in memory.
+
+Level order.  Each level of an interval tree comes out of the walk
+already in canonical order (ascending canonical key), so nothing sorts
+it.  A depth-n node is I \\ B with B = {b1 < ... < bn} contained in
+(F/2, F), its elements removed in increasing order because labels rise
+along every path.  A level is listed by parent position, then by label
+ascending, so by induction on n every level is in lexicographic order
+of (b1, ..., bn): children of distinct parents differ in their first n
+coordinates, ordered as their parents are, and siblings differ only in
+the last.  Two nodes I \\ B and I \\ B' of one depth share F and gaps(I),
+so their tables first differ at d = min(B symmetric-difference B').
+Below d the two sets coincide and |B| = |B'|, so at the first position
+where the sorted tuples differ one holds d and the other a larger
+element: d lies in the lexicographically smaller tuple.  That node has
+d as a gap where the other has a member, so its gap list is the
+smaller one, and so is its canonical key.
 """
 
 import enum
@@ -221,7 +237,8 @@ def interval_tree(root: NumericalSemigroup) -> SemigroupTree:
 
 
 def interval_level(root, depth, budget=None):
-    """Depth-n slice of the interval tree, canonically sorted.
+    """Depth-n slice of the interval tree, in canonical order by
+    construction (see module docstring).
 
     Only one level is alive at a time, so deep slices never materialize
     the rest of the tree.  The result is empty once depth exceeds
@@ -232,8 +249,7 @@ def interval_level(root, depth, budget=None):
         raise ValueError("depth must be >= 0, got %d" % depth)
     for n, level in enumerate(_levels(root, _interval_expand(root), budget)):
         if n == depth:
-            members = (sg for _, sg, _ in level)
-            return tuple(sorted(members, key=lambda t: t.canonical_key))
+            return tuple(sg for _, sg, _ in level)
     return ()
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from numsgps import all_with_frobenius, classify
 from numsgps.cli import main, semigroup_record
-from support import SRC_ENV, plant_flipped_flag, sg
+from support import SRC_ENV, plant_flipped_flag, python, sg
 
 
 def run(capsys, *argv):
@@ -69,6 +69,16 @@ def test_info_gcd_error_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_info_over_the_window_bound_exits_two():
+    # 2 * 4001 * 4003 bits is just over core.MAX_CLOSURE_WINDOW
+    proc = python("-m", "numsgps.cli", "info", "--gens", "4001,4003", timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: closure window")
 
 
 def test_bad_generator_text_is_usage_error(capsys):
@@ -391,6 +401,11 @@ def test_record_flags_match_classify():
         (
             ("ksemigroups", "--json", "--l", "6", "--frobenius", "27"),
             "305aba7fde7dc02ed18a7207411f48bf93729aac3df263d510c78ea66d08893f",
+        ),
+        (
+            # 9,510 members under 63 "# D(...)" headers, in listing order
+            ("ksemigroups", "--l", "10", "--frobenius", "31"),
+            "e5cc233cbab024c5717f4c439db818da16a6b9841c0aeb030037bd79e052e437",
         ),
     ],
 )

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+import numsgps.core
 from numsgps import (
     NATURALS,
+    BoundExceeded,
     GcdNotOne,
     NoSecondKindGap,
     NotClosed,
@@ -38,6 +40,26 @@ def test_from_generators_gcd_error():
     assert exc.value.gcd == 2
     with pytest.raises(GcdNotOne):
         sg(6, 10)
+
+
+def test_from_generators_refuses_a_window_over_the_bound():
+    # <4001,4003> would close a window of 2 * 4001 * 4003 bits, just over
+    # the bound, and still builds in well under a second without it
+    with pytest.raises(BoundExceeded) as exc:
+        sg(4001, 4003)
+    assert exc.value.requested == 2 * 4001 * 4003
+    assert exc.value.bound == numsgps.core.MAX_CLOSURE_WINDOW
+    # the largest input the suite and the benchmark use stays inside it
+    assert sg(399, 400).frobenius == 399 * 400 - 399 - 400
+
+
+def test_from_generators_window_bound_is_inclusive(monkeypatch):
+    # <3,5> closes [0, 30] and <3,7> closes [0, 42]
+    monkeypatch.setattr(numsgps.core, "MAX_CLOSURE_WINDOW", 30)
+    assert sg(3, 5).frobenius == 7
+    assert sg(1, 100) == NATURALS
+    with pytest.raises(BoundExceeded):
+        sg(3, 7)
 
 
 def test_from_generators_gcd_one_overall_is_enough():

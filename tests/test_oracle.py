@@ -207,6 +207,27 @@ def test_crosscheck_reports_a_dropped_enumerated_member(monkeypatch):
     assert _operations(crosscheck(8)) == {"enumerate K=2 F=7"}
 
 
+def test_crosscheck_reports_a_reversed_group(monkeypatch):
+    # at K=2 F=7 only D(<4,5,6>) has more than one member (three)
+    real = numsgps.oracle.enumerate_k_semigroups
+
+    def faulty(req, *args, **kwargs):
+        result = real(req, *args, **kwargs)
+        if (req.k, req.frobenius) != (2, 7):
+            return result
+        groups = tuple(
+            dataclasses.replace(g, members=g.members[::-1]) if g.count > 1 else g
+            for g in result.groups
+        )
+        assert [g.count for g in groups if g.count > 1] == [3]
+        return dataclasses.replace(result, groups=groups)
+
+    monkeypatch.setattr(numsgps.oracle, "enumerate_k_semigroups", faulty)
+    reports = crosscheck(8)
+    assert _operations(reports) == {"enumerate order K=2 F=7"}
+    assert len(reports) == 1
+
+
 # ----------------------------------------------------------------------
 # the oracle stays independent of the fast kernels
 

@@ -198,10 +198,23 @@ def test_interval_level_golden_single():
 
 
 def test_interval_level_is_canonically_sorted():
-    for root, depth in ((sg(5, 7, 9, 11), 2), (canonical_irreducible(21), 3)):
-        level = interval_level(root, depth)
-        assert len(level) > 1
-        assert list(level) == sorted(level, key=lambda s: s.gaps)
+    # nothing sorts a level: the walk emits it in canonical order (the
+    # lemma in the trees docstring), checked at every depth of every
+    # irreducible root with F <= 21
+    members = 0
+    for f in range(1, 22):
+        for root in irreducible_tree(f).semigroups():
+            tree = interval_tree(root)
+            for depth in range(tree.height + 2):
+                level = interval_level(root, depth)
+                assert level == tree.level(depth)
+                keys = [s.canonical_key for s in level]
+                gaps = [s.gaps for s in level]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+                assert all(a < b for a, b in zip(gaps, gaps[1:]))
+                members += len(level)
+    # the intervals partition all semigroups with F <= 21 (OEIS A124506)
+    assert members == 5343
 
 
 def test_interval_children_respect_label_floor():
