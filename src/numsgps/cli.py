@@ -19,8 +19,10 @@ traversed tree as a Graphviz digraph (edges point from child to parent,
 labeled with the removed generator).
 
 Exit codes: 0 success (including an empty but well-posed listing),
-1 verification mismatch, 2 usage or domain error, 141 (128 + SIGPIPE)
-when the reader closes stdout early, as in `numsgps ... | head`.
+1 verification mismatch, 2 usage or domain error (an input over a size
+bound among them) or a failed write to stdout or the --dot file, 141
+(128 + SIGPIPE) when the reader closes stdout early, as in
+`numsgps ... | head`.
 """
 
 import argparse
@@ -86,6 +88,11 @@ def _json_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
+def _record_line(s: NumericalSemigroup, **extra) -> str:
+    """The JSON line of s's record, followed by the extra fields."""
+    return _json_line({**semigroup_record(s), **extra})
+
+
 def _print_text_record(record: dict):
     gens = ",".join(map(str, record["min_generators"]))
     print("S = <%s>" % gens)
@@ -131,31 +138,25 @@ def _write_dot(tree, handle):
     handle.write("\n".join(lines) + "\n")
 
 
-def _emit_tree(tree, as_json: bool):
-    for node in tree.nodes:
-        parent = (
-            tree.nodes[node.parent_index].semigroup
-            if node.parent_index is not None
-            else None
-        )
-        if as_json:
-            record = semigroup_record(node.semigroup)
-            record["depth"] = node.depth
-            record["edge_label"] = node.edge_label if parent is not None else None
-            record["parent"] = (
-                list(parent.minimal_generators) if parent is not None else None
-            )
-            print(_json_line(record))
-        else:
-            print(
-                "%d\t%s\t%s\t%s"
-                % (
-                    node.depth,
-                    str(node.edge_label) if parent is not None else "-",
-                    str(node.semigroup),
-                    str(parent) if parent is not None else "-",
+def _print_tree(tree, args) -> int:
+    # one line per node, TSV or a JSON record, then the --dot file if asked
+    with _open_dot(args.dot) as dot:
+        for node in tree.nodes:
+            root = node.parent is None
+            if args.json:
+                line = _record_line(
+                    node.semigroup,
+                    depth=node.depth,
+                    edge_label=None if root else node.edge_label,
+                    parent=None if root else list(node.parent.minimal_generators),
                 )
-            )
+            else:
+                label, parent = ("-", "-") if root else (node.edge_label, node.parent)
+                line = "%d\t%s\t%s\t%s" % (node.depth, label, node.semigroup, parent)
+            print(line)
+        if dot is not None:
+            _write_dot(tree, dot)
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -164,41 +165,27 @@ def _emit_tree(tree, as_json: bool):
 
 def cmd_info(args) -> int:
     s = NumericalSemigroup.from_generators(args.gens)
-    record = semigroup_record(s)
     if args.json:
-        print(_json_line(record))
+        print(_record_line(s))
     else:
-        _print_text_record(record)
+        _print_text_record(semigroup_record(s))
     return 0
 
 
 def cmd_irreducibles(args) -> int:
     tree = irreducible_tree(args.frobenius, prune_threshold=args.min_delta)
-    with _open_dot(args.dot) as dot:
-        _emit_tree(tree, args.json)
-        if dot is not None:
-            _write_dot(tree, dot)
-    return 0
+    return _print_tree(tree, args)
 
 
 def cmd_interval_tree(args) -> int:
     root = NumericalSemigroup.from_generators(args.gens)
-    if args.level is not None:
-        for s in interval_level(root, args.level):
-            if args.json:
-                record = semigroup_record(s)
-                record["depth"] = args.level
-                record["edge_label"] = None
-                record["parent"] = None
-                print(_json_line(record))
-            else:
-                print(str(s))
-        return 0
-    tree = interval_tree(root)
-    with _open_dot(args.dot) as dot:
-        _emit_tree(tree, args.json)
-        if dot is not None:
-            _write_dot(tree, dot)
+    if args.level is None:
+        return _print_tree(interval_tree(root), args)
+    for s in interval_level(root, args.level):
+        if args.json:
+            print(_record_line(s, depth=args.level, edge_label=None, parent=None))
+        else:
+            print(s)
     return 0
 
 
@@ -211,42 +198,28 @@ def cmd_ksemigroups(args) -> int:
     )
     result = enumerate_k_semigroups(request, threads=args.threads)
     if not result.feasible:
-        if (args.l + args.frobenius) % 2 == 0:
-            print("infeasible: K+F even", file=sys.stderr)
-        else:
-            print("infeasible: F < K+1", file=sys.stderr)
+        even = (args.l + args.frobenius) % 2 == 0
+        print("infeasible: %s" % ("K+F even" if even else "F < K+1"), file=sys.stderr)
         return 0
-    if args.count:
-        if args.json:
-            print(
-                _json_line(
-                    {
-                        "l": args.l,
-                        "frobenius": args.frobenius,
-                        "total": result.total,
-                        "groups": [
-                            {
-                                "root": list(g.root.minimal_generators),
-                                "count": g.count,
-                            }
-                            for g in result.groups
-                        ],
-                    }
-                )
-            )
-        else:
-            print(result.total)
-        return 0
-    for group in result.groups:
-        if not args.json:
-            print("# D(%s) %d" % (str(group.root), group.count))
-        for member in group.members:
-            if args.json:
-                record = semigroup_record(member)
-                record["root"] = list(group.root.minimal_generators)
-                print(_json_line(record))
-            else:
-                print(str(member))
+    if args.count and args.json:
+        groups = [
+            {"root": list(g.root.minimal_generators), "count": g.count}
+            for g in result.groups
+        ]
+        summary = {"l": args.l, "frobenius": args.frobenius, "total": result.total}
+        print(_json_line({**summary, "groups": groups}))
+    elif args.count:
+        print(result.total)
+    elif args.json:
+        for group in result.groups:
+            root = list(group.root.minimal_generators)
+            for member in group.members:
+                print(_record_line(member, root=root))
+    else:
+        for group in result.groups:
+            print("# D(%s) %d" % (group.root, group.count))
+            for member in group.members:
+                print(member)
     return 0
 
 
@@ -265,7 +238,15 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 
-_THREADS_HELP = "accepted for compatibility (N >= 1); runs are always sequential"
+
+def _add_threads(p):
+    p.add_argument(
+        "--threads",
+        type=_threads_argument,
+        default=1,
+        metavar="N",
+        help="accepted for compatibility (N >= 1); runs are always sequential",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,9 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dot", metavar="FILE", help="also write a Graphviz digraph")
     p.add_argument("--json", action="store_true", help="emit JSON lines")
-    p.add_argument(
-        "--threads", type=_threads_argument, default=1, metavar="N", help=_THREADS_HELP
-    )
+    _add_threads(p)
     p.set_defaults(handler=cmd_irreducibles)
 
     p = sub.add_parser(
@@ -315,9 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument("--dot", metavar="FILE", help="also write a Graphviz digraph")
     p.add_argument("--json", action="store_true", help="emit JSON lines")
-    p.add_argument(
-        "--threads", type=_threads_argument, default=1, metavar="N", help=_THREADS_HELP
-    )
+    _add_threads(p)
     p.set_defaults(handler=cmd_interval_tree)
 
     p = sub.add_parser(
@@ -328,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frobenius", type=int, required=True, metavar="F")
     p.add_argument("--count", action="store_true", help="print counts only")
     p.add_argument("--json", action="store_true", help="emit JSON lines")
-    p.add_argument(
-        "--threads", type=_threads_argument, default=1, metavar="N", help=_THREADS_HELP
-    )
+    _add_threads(p)
     p.add_argument(
         "--max-work",
         type=int,
@@ -356,6 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull():
+    # the interpreter flushes stdout again on exit; send that to devnull.
+    # A stdout without a descriptor (an in-process capture) is left alone.
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -364,10 +351,13 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
         return code
     except BrokenPipeError:
-        # the interpreter flushes stdout again on exit; send that to devnull
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        _stdout_to_devnull()
         return 141
+    except OSError as exc:
+        # stdout or the --dot file failed mid-write, e.g. a full disk
+        print("error: write failed: %s" % (exc.strerror or exc), file=sys.stderr)
+        _stdout_to_devnull()
+        return 2
     except (NumericalSemigroupError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -43,9 +43,16 @@ from .errors import (
     NotMinimalGenerator,
 )
 
-# from_generators closes membership over [0, 2*m*max]; a larger window is
+# from_generators closes membership over [0, 2*m*max], and a table built
+# for a Frobenius number F spans F + 2 bits; either above this bound is
 # refused before anything is allocated (2**24 bits is a 2 MB table)
 MAX_CLOSURE_WINDOW = 1 << 24
+
+
+def _check_table_size(frobenius):
+    # refuse a table over [0, F + 1] wider than MAX_CLOSURE_WINDOW bits
+    if frobenius + 2 > MAX_CLOSURE_WINDOW:
+        raise BoundExceeded(frobenius + 2, MAX_CLOSURE_WINDOW, "bit table F + 2 =")
 
 
 def _bit_range(lo, hi):
@@ -165,7 +172,8 @@ class NumericalSemigroup:
 
         Raises NotClosed(i, j) with the lexicographically first witness
         pair of members whose sum lands in the gap set.  The empty gap
-        set yields N.
+        set yields N.  A largest gap F with F + 2 > MAX_CLOSURE_WINDOW
+        raises BoundExceeded.
         """
         gap_list = sorted({int(x) for x in gaps})
         if not gap_list:
@@ -173,6 +181,7 @@ class NumericalSemigroup:
         if gap_list[0] < 1:
             raise ValueError("gaps must be positive, got %d" % gap_list[0])
         f = gap_list[-1]
+        _check_table_size(f)
         bits = _bit_range(0, f + 2)
         for x in gap_list:
             bits &= ~(1 << x)

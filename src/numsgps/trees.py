@@ -64,7 +64,7 @@ smaller one, and so is its canonical key.
 import enum
 from dataclasses import dataclass
 
-from .core import NumericalSemigroup, _bit_range, _closure_bits
+from .core import NumericalSemigroup, _bit_range, _check_table_size, _closure_bits
 from .errors import NotASubset, NotIrreducible
 
 
@@ -76,13 +76,13 @@ class TreeKind(enum.Enum):
 @dataclass(frozen=True)
 class TreeNode:
     """One tree node: the semigroup, its depth, the label of the edge
-    from its parent (-1 at the root) and the parent's index in the
-    tree's BFS node list (None at the root)."""
+    from its parent (-1 at the root) and the parent semigroup (None at
+    the root)."""
 
     semigroup: NumericalSemigroup
     depth: int
     edge_label: int
-    parent_index: object  # int | None
+    parent: object  # NumericalSemigroup | None
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,9 @@ class SemigroupTree:
     def edges(self):
         """(parent, child, label) triples in BFS order of the child."""
         return tuple(
-            (self.nodes[n.parent_index].semigroup, n.semigroup, n.edge_label)
+            (n.parent, n.semigroup, n.edge_label)
             for n in self.nodes
-            if n.parent_index is not None
+            if n.parent is not None
         )
 
 
@@ -164,9 +164,13 @@ def theta_surplus(s: NumericalSemigroup) -> int:
 
 
 def canonical_irreducible(frobenius: int) -> NumericalSemigroup:
-    """C(F), the irreducible semigroup with multiplicity above F/2."""
+    """C(F), the irreducible semigroup with multiplicity above F/2.
+
+    Raises BoundExceeded when F + 2 > core.MAX_CLOSURE_WINDOW.
+    """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1, got %d" % frobenius)
+    _check_table_size(frobenius)
     lo = (frobenius + 1) // 2 if frobenius % 2 else frobenius // 2 + 1
     bits = 1 | _bit_range(lo, frobenius + 2)
     bits &= ~(1 << frobenius)
@@ -209,16 +213,14 @@ def _levels(root, expand, budget=None, keep=None):
 
 
 def _bfs(root, expand, budget=None, keep=None):
-    # every level of _levels as TreeNodes, parents indexed tree-wide
-    nodes = []
-    parents = None  # index in nodes of the previous level's first node
+    # every level of _levels as TreeNodes holding their parent semigroups
+    nodes, above = [], None
     for depth, level in enumerate(_levels(root, expand, budget, keep)):
-        first = len(nodes)
         nodes.extend(
-            TreeNode(sg, depth, label, None if pos is None else parents + pos)
+            TreeNode(sg, depth, label, None if pos is None else above[pos][1])
             for pos, sg, label in level
         )
-        parents = first
+        above = level
     return tuple(nodes)
 
 

@@ -27,10 +27,15 @@ def gens_of(s: NumericalSemigroup) -> tuple:
     return s.minimal_generators
 
 
-def python(*args: str, **kwargs) -> subprocess.CompletedProcess:
-    """Run the interpreter on args with the package under test importable."""
+def python(*args: str, stdout=subprocess.PIPE, **kwargs) -> subprocess.CompletedProcess:
+    """Run the interpreter on args with the package under test importable;
+    stderr is captured, and stdout too unless a file is given."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, env=SRC_ENV, **kwargs
+        [sys.executable, *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=SRC_ENV,
+        **kwargs,
     )
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -79,6 +80,22 @@ def test_info_over_the_window_bound_exits_two():
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: closure window")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("irreducibles", "--frobenius", "1000000000000000"),
+        ("ksemigroups", "--l", "1", "--frobenius", "1000000000000000"),
+    ],
+)
+def test_frobenius_over_the_table_bound_exits_two(argv):
+    proc = python("-m", "numsgps.cli", *argv, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: bit table F + 2 = 1000000000000002")
 
 
 def test_bad_generator_text_is_usage_error(capsys):
@@ -407,12 +424,60 @@ def test_record_flags_match_classify():
             ("ksemigroups", "--l", "10", "--frobenius", "31"),
             "e5cc233cbab024c5717f4c439db818da16a6b9841c0aeb030037bd79e052e437",
         ),
+        (
+            ("info", "--gens", "5,7,9,11"),
+            "714c2cf552f7f7f82c5fd11553b2d83d4e700db07144964af7275cfca1a4dd19",
+        ),
+        (
+            ("irreducibles", "--frobenius", "17"),
+            "2ec5e04513f0d1d522dd91b4545264a5d2ea699eceecee59862d5f6f01fb8342",
+        ),
+        (
+            ("irreducibles", "--frobenius", "21", "--min-delta", "4", "--json"),
+            "6ebdd9f646e5dfee0da0d8d2585f4a0fe664dd0506ceead2bf13f3b9d81516f6",
+        ),
+        (
+            ("interval-tree", "--gens", "5,7,9,11"),
+            "4847e25730a7843eeca8fe17b26847bcb80a195ff733d58fedd9b5eb16d434ff",
+        ),
+        (
+            ("interval-tree", "--gens", "5,7,9,11", "--json"),
+            "d595058af2d5ced753da1783fa7b20de2cec9c778cd43d22241b2e4458a7969e",
+        ),
+        (
+            ("interval-tree", "--gens", "6,7,8,9,10", "--level", "2", "--json"),
+            "815dae33bbe1bc87ccbbfce380d6ecfdb97e30fc46793b9a180952420016111a",
+        ),
+        (
+            ("ksemigroups", "--l", "6", "--frobenius", "17", "--count", "--json"),
+            "40a58b8953e20949e78af559e70a30f48f4b15f0814169d94415a8b4efc165cd",
+        ),
     ],
 )
 def test_record_output_golden(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("irreducibles", "--frobenius", "17"),
+            "06d760429530bc769c1b617688f88ae549ed8b1e905eb4c3e0c57e460d12b320",
+        ),
+        (
+            ("interval-tree", "--gens", "5,7,9,11"),
+            "d5536ae85536091c1ddd01abf965794daea29589a50d7471c0ff0902be411c66",
+        ),
+    ],
+)
+def test_dot_output_golden(capsys, tmp_path, argv, digest):
+    target = tmp_path / "tree.dot"
+    code, out, err = run(capsys, *argv, "--dot", str(target))
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 def test_closed_pipe_exits_quietly():
@@ -430,6 +495,39 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="no /dev/full to fail writes"
+)
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (("verify", "--max-frobenius", "3"), "/dev/full"),
+        (("info", "--gens", "3,5"), "/dev/full"),
+        (("ksemigroups", "--json", "--l", "6", "--frobenius", "27"), "/dev/full"),
+        (("irreducibles", "--frobenius", "9", "--dot", "/dev/full"), os.devnull),
+    ],
+)
+def test_failed_write_exits_two(argv, stdout):
+    with open(stdout, "wb") as out:
+        proc = python("-m", "numsgps.cli", *argv, stdout=out, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [
+        "error: write failed: No space left on device"
+    ]
+
+
+@needs_dev_full
+def test_full_dot_file_in_process_exits_two(capsys):
+    # capsys's stdout has no file descriptor to point at devnull
+    argv = ("irreducibles", "--frobenius", "9", "--dot", "/dev/full")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: write failed: No space left on device\n"
 
 
 # ----------------------------------------------------------------------

@@ -94,6 +94,23 @@ def test_from_gap_set_not_closed_witness():
     assert exc.value.witness == (1, 1)
 
 
+def test_from_gap_set_refuses_a_table_over_the_bound():
+    # one gap at 10**15 would ask for a table of 10**15 + 2 bits
+    with pytest.raises(BoundExceeded) as exc:
+        NumericalSemigroup.from_gap_set([10**15])
+    assert exc.value.requested == 10**15 + 2
+    assert exc.value.bound == numsgps.core.MAX_CLOSURE_WINDOW
+
+
+def test_from_gap_set_table_bound_is_inclusive(monkeypatch):
+    # the gaps of C(28) fill a table of 30 bits, those of C(29) one of 31
+    monkeypatch.setattr(numsgps.core, "MAX_CLOSURE_WINDOW", 30)
+    assert NumericalSemigroup.from_gap_set([*range(1, 15), 28]).frobenius == 28
+    with pytest.raises(BoundExceeded) as exc:
+        NumericalSemigroup.from_gap_set([*range(1, 15), 29])
+    assert (exc.value.requested, exc.value.bound) == (31, 30)
+
+
 def test_from_gap_set_rejects_nonpositive():
     with pytest.raises(ValueError):
         NumericalSemigroup.from_gap_set([0, 1])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from numsgps import (
+    BoundExceeded,
     BudgetExceeded,
     EnumerationRequest,
     Mode,
@@ -223,3 +224,13 @@ def test_genus_counts_match_a007323():
     # reaches F = 37, beyond the oracle's exhaustive range
     counts = tuple(_genus_count(g) for g in range(1, 20))
     assert counts == GENUS_COUNTS
+
+
+def test_frobenius_over_the_table_bound_is_refused():
+    # C(10**15) would need a table of 10**15 + 2 bits; nothing is built
+    with pytest.raises(BoundExceeded):
+        witness_k_semigroup(1, 10**15)
+    with pytest.raises(BoundExceeded):
+        enumerate_k_semigroups(EnumerationRequest(k=1, frobenius=10**15))
+    # an infeasible request needs no table and still answers
+    assert witness_k_semigroup(2, 10**15) is None

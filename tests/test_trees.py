@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+import numsgps.core
 from numsgps import (
+    BoundExceeded,
     BudgetExceeded,
     NotASubset,
     NotIrreducible,
@@ -119,6 +121,17 @@ def test_canonical_irreducible_is_irreducible():
         assert canonical_irreducible(f).frobenius == f
 
 
+def test_canonical_irreducible_table_bound_is_inclusive(monkeypatch):
+    # C(F) is a table over [0, F + 1]: 30 bits for F = 28, 31 for F = 29
+    monkeypatch.setattr(numsgps.core, "MAX_CLOSURE_WINDOW", 30)
+    assert canonical_irreducible(28).frobenius == 28
+    assert irreducible_tree(28).root == canonical_irreducible(28)
+    for build in (canonical_irreducible, irreducible_tree):
+        with pytest.raises(BoundExceeded) as exc:
+            build(29)
+        assert (exc.value.requested, exc.value.bound) == (31, 30)
+
+
 def test_canonical_irreducible_rejects_low():
     with pytest.raises(ValueError):
         canonical_irreducible(0)
@@ -167,6 +180,23 @@ def test_interval_tree_levels_golden():
 def test_interval_tree_edges_golden():
     tree = interval_tree(sg(5, 7, 9, 11))
     assert _edge_set(tree) == EDGES_5_7_9_11
+
+
+def test_tree_nodes_hold_their_parent():
+    # every child is one the expand step makes from its parent
+    trees = (
+        (interval_tree(sg(5, 7, 9, 11)), lambda s: interval_children(s, -1, 13)),
+        (irreducible_tree(17), lambda s: irreducible_children(s, 17)),
+        (irreducible_tree(21, 4), lambda s: irreducible_children(s, 21)),
+    )
+    for tree, children in trees:
+        assert tree.nodes[0].parent is None
+        for node in tree.nodes[1:]:
+            assert node.parent in tree.level(node.depth - 1)
+            assert (node.semigroup, node.edge_label) in children(node.parent)
+        assert tree.edges() == tuple(
+            (n.parent, n.semigroup, n.edge_label) for n in tree.nodes[1:]
+        )
 
 
 def test_interval_tree_depth_raises_l_by_two():
