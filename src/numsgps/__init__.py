@@ -29,6 +29,7 @@ from .enumeration import (
     Mode,
     enumerate_k_semigroups,
     feasible,
+    iter_k_semigroups,
     witness_k_semigroup,
 )
 from .errors import (
@@ -111,6 +112,7 @@ __all__ = [
     "irreducible_tree",
     "is_urpsy",
     "is_ursy",
+    "iter_k_semigroups",
     "pf_fast_2sg",
     "pf_fast_3sg",
     "pseudo_frobenius",

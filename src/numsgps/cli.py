@@ -18,6 +18,11 @@ selects nothing: every run is sequential.  --dot additionally writes the
 traversed tree as a Graphviz digraph (edges point from child to parent,
 labeled with the removed generator).
 
+ksemigroups lists group by group: each root's D(I) prints as soon as it
+is built, so `numsgps ksemigroups ... | head` stops after the first
+group.  When --max-work runs out, stdout holds only the whole groups
+built before it, followed by the exit-2 error on stderr.
+
 Exit codes: 0 success (including an empty but well-posed listing),
 1 verification mismatch, 2 usage or domain error (an input over a size
 bound among them) or a failed write to stdout or the --dot file, 141
@@ -33,7 +38,7 @@ import sys
 
 from .classify import _l_flags, pseudo_frobenius
 from .core import NumericalSemigroup
-from .enumeration import EnumerationRequest, Mode, enumerate_k_semigroups
+from .enumeration import EnumerationRequest, Mode, feasible, iter_k_semigroups
 from .errors import NumericalSemigroupError
 from .oracle import ORACLE_MAX_FROBENIUS, crosscheck
 from .trees import interval_level, interval_tree, irreducible_tree
@@ -196,30 +201,35 @@ def cmd_ksemigroups(args) -> int:
         mode=Mode.COUNT_ONLY if args.count else Mode.FULL,
         max_work=args.max_work,
     )
-    result = enumerate_k_semigroups(request, threads=args.threads)
-    if not result.feasible:
+    groups = iter_k_semigroups(request)  # a bad K or W fails before feasibility
+    if not feasible(args.l, args.frobenius):
         even = (args.l + args.frobenius) % 2 == 0
         print("infeasible: %s" % ("K+F even" if even else "F < K+1"), file=sys.stderr)
         return 0
-    if args.count and args.json:
-        groups = [
-            {"root": list(g.root.minimal_generators), "count": g.count}
-            for g in result.groups
-        ]
-        summary = {"l": args.l, "frobenius": args.frobenius, "total": result.total}
-        print(_json_line({**summary, "groups": groups}))
-    elif args.count:
-        print(result.total)
-    elif args.json:
-        for group in result.groups:
+    if args.count:
+        groups = list(groups)
+        total = sum(g.count for g in groups)
+        if args.json:
+            counts = [
+                {"root": list(g.root.minimal_generators), "count": g.count}
+                for g in groups
+            ]
+            summary = {"l": args.l, "frobenius": args.frobenius, "total": total}
+            print(_json_line({**summary, "groups": counts}))
+        else:
+            print(total)
+        return 0
+    # each group prints, and reaches the reader, as soon as its D(I) is built
+    for group in groups:
+        if args.json:
             root = list(group.root.minimal_generators)
             for member in group.members:
                 print(_record_line(member, root=root))
-    else:
-        for group in result.groups:
+        else:
             print("# D(%s) %d" % (group.root, group.count))
             for member in group.members:
                 print(member)
+        sys.stdout.flush()
     return 0
 
 
@@ -311,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="W",
-        help="abort with an error after W expanded tree nodes",
+        help="stop with an error after W expanded tree nodes; the groups "
+        "already printed are whole",
     )
     p.set_defaults(handler=cmd_ksemigroups)
 

@@ -17,6 +17,8 @@ and the interval [theta(I), I] reaches that depth exactly when
        interval tree,
     3. report the groups; they partition the answer.
 
+Each D(I) depends on its root alone, so iter_k_semigroups hands out the
+groups one root at a time, and enumerate_k_semigroups collects them.
 Roots appear in BFS discovery order, members of each group in canonical
 (gap list) order, so output is deterministic.  Every walk runs
 sequentially on one level generator (see trees), one root at a time.
@@ -69,6 +71,46 @@ def feasible(k: int, frobenius: int) -> bool:
     return (k + frobenius) % 2 == 1 and frobenius >= k + 1
 
 
+def _validate(req: EnumerationRequest):
+    if req.k < 0:
+        raise ValueError("k must be >= 0, got %d" % req.k)
+    if req.max_work is not None and req.max_work < 0:
+        raise ValueError("max_work must be >= 0, got %d" % req.max_work)
+
+
+def _roots(req: EnumerationRequest):
+    """The roots of the pruned irreducible tree of a feasible request,
+    and the function that builds one root's group from its D(I)."""
+    half = req.k // 2
+    budget = WorkBudget(req.max_work) if req.max_work is not None else None
+    tree = irreducible_tree(req.frobenius, prune_threshold=half, budget=budget)
+    full = req.mode is Mode.FULL
+
+    def group(root):
+        members = interval_level(root, half, budget=budget)
+        return EnumerationGroup(root, members if full else None, len(members))
+
+    return [node.semigroup for node in tree.nodes], group
+
+
+def iter_k_semigroups(req: EnumerationRequest):
+    """The groups of enumerate_k_semigroups(req), each yielded as soon as
+    its root's D(I) is built.
+
+    The request is validated, and the pruned irreducible tree walked,
+    when this is called; the interval levels are built one per next().
+    An infeasible request yields nothing.  Raises ValueError for a
+    negative k or max_work, and BudgetExceeded, at the call or at a
+    next(), once more than req.max_work nodes have been expanded; the
+    groups yielded before it are whole.
+    """
+    _validate(req)
+    if not feasible(req.k, req.frobenius):
+        return iter(())
+    roots, group = _roots(req)
+    return map(group, roots)
+
+
 def enumerate_k_semigroups(req: EnumerationRequest, threads=1) -> EnumerationResult:
     """All S with l(S) = req.k and F(S) = req.frobenius, grouped by root.
 
@@ -78,33 +120,14 @@ def enumerate_k_semigroups(req: EnumerationRequest, threads=1) -> EnumerationRes
     a negative k or max_work, or for threads < 1.  threads is accepted
     for compatibility and selects nothing: the run is always sequential.
     """
-    if req.k < 0:
-        raise ValueError("k must be >= 0, got %d" % req.k)
-    if req.max_work is not None and req.max_work < 0:
-        raise ValueError("max_work must be >= 0, got %d" % req.max_work)
+    _validate(req)
     if threads < 1:
         raise ValueError("threads must be >= 1, got %d" % threads)
     if not feasible(req.k, req.frobenius):
         return EnumerationResult(False, (), 0)
-    half = req.k // 2
-    budget = WorkBudget(req.max_work) if req.max_work is not None else None
-    tree = irreducible_tree(req.frobenius, prune_threshold=half, budget=budget)
-    roots = [node.semigroup for node in tree.nodes]
-    levels = map_ordered(
-        lambda root: interval_level(root, half, budget=budget), roots, threads
-    )
-    groups = []
-    total = 0
-    for root, members in zip(roots, levels):
-        total += len(members)
-        groups.append(
-            EnumerationGroup(
-                root=root,
-                members=members if req.mode is Mode.FULL else None,
-                count=len(members),
-            )
-        )
-    return EnumerationResult(True, tuple(groups), total)
+    roots, group = _roots(req)
+    groups = tuple(map_ordered(group, roots, threads))
+    return EnumerationResult(True, groups, sum(g.count for g in groups))
 
 
 def witness_k_semigroup(k: int, frobenius: int):

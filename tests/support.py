@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numsgps
+import numsgps.enumeration
 import numsgps.oracle
 from numsgps import NumericalSemigroup
 
@@ -51,3 +52,17 @@ def plant_flipped_flag(monkeypatch, flag, target):
         return dataclasses.replace(report, **{flag: not getattr(report, flag)})
 
     monkeypatch.setattr(numsgps.oracle, "classify", faulty)
+
+
+def count_interval_levels(monkeypatch):
+    """Record the root of every interval level numsgps.enumeration builds;
+    returns the list the roots are appended to."""
+    calls = []
+    real = numsgps.enumeration.interval_level
+
+    def counted(root, *args, **kwargs):
+        calls.append(root)
+        return real(root, *args, **kwargs)
+
+    monkeypatch.setattr(numsgps.enumeration, "interval_level", counted)
+    return calls

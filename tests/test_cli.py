@@ -10,7 +10,7 @@ import pytest
 
 from numsgps import all_with_frobenius, classify
 from numsgps.cli import main, semigroup_record
-from support import SRC_ENV, plant_flipped_flag, python, sg
+from support import SRC_ENV, count_interval_levels, plant_flipped_flag, python, sg
 
 
 def run(capsys, *argv):
@@ -362,6 +362,75 @@ def test_ksemigroups_negative_budget_is_an_error(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "-5" in err and "exhausted" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a bad K, W or N is refused even where (K, F) is infeasible
+        (("--l", "6", "--frobenius", "10", "--max-work", "-5"),
+         "error: max_work must be >= 0, got -5\n"),
+        (("--l", "-1", "--frobenius", "4"), "error: k must be >= 0, got -1\n"),
+        (("--l", "6", "--frobenius", "10", "--threads", "0"),
+         "numsgps ksemigroups: error: argument --threads: "
+         "expected an integer N >= 1, got '0'\n"),
+    ],
+)
+def test_ksemigroups_checks_inputs_before_feasibility(capsys, argv, message):
+    try:
+        code = main(["ksemigroups", *argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(message)
+    assert "infeasible" not in captured.err
+
+
+def _text_groups(out):
+    # (header, member lines) per "# D(...) n" header, in listing order
+    groups = []
+    for line in out.splitlines():
+        if line.startswith("# D("):
+            groups.append((line, []))
+        else:
+            groups[-1][1].append(line)
+    return groups
+
+
+@pytest.mark.parametrize("budget", [0, 3000, 7000, 10762])
+def test_ksemigroups_budget_leaves_whole_groups(capsys, budget):
+    # K=10 F=31 expands 10,763 nodes; the first of its 63 groups holds
+    # 3,003 members
+    argv = ("ksemigroups", "--l", "10", "--frobenius", "31")
+    full = _text_groups(_capture(capsys, *argv))
+    code, out, err = run(capsys, *argv, "--max-work", str(budget))
+    assert code == 2
+    assert err == "error: work budget of %d expanded nodes exhausted\n" % budget
+    printed = _text_groups(out)
+    assert printed == full[: len(printed)]
+    for header, members in printed:
+        assert int(header.rsplit(" ", 1)[1]) == len(members)
+    if budget == 3000:
+        assert len(printed) == 1 and len(printed[0][1]) == 3003
+        assert out.count("\n") == 3004
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_closed_pipe_stops_after_the_first_group(monkeypatch, mode):
+    calls = count_interval_levels(monkeypatch)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["ksemigroups", *mode, "--l", "10", "--frobenius", "31"]) == 141
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,10 @@ from numsgps import (
     Mode,
     enumerate_k_semigroups,
     feasible,
+    iter_k_semigroups,
     witness_k_semigroup,
 )
-from support import sg
+from support import count_interval_levels, sg
 
 # the complete answer for K = 6, F = 11, grouped by tree root
 GROUPS_K6_F11 = {
@@ -138,6 +139,49 @@ def test_threads_do_not_change_the_answer():
     pooled = enumerate_k_semigroups(EnumerationRequest(8, 17), threads=8)
     assert lone == pooled
     assert lone.total > 0
+
+
+# ----------------------------------------------------------------------
+# the stream of groups
+
+
+def test_stream_equals_the_collected_groups():
+    for f in range(1, 22):
+        for k in range(f):
+            if not feasible(k, f):
+                continue
+            for mode in Mode:
+                req = EnumerationRequest(k, f, mode)
+                assert tuple(iter_k_semigroups(req)) == enumerate_k_semigroups(req).groups
+
+
+def test_stream_builds_one_group_per_next(monkeypatch):
+    calls = count_interval_levels(monkeypatch)
+    groups = iter_k_semigroups(EnumerationRequest(10, 31))
+    assert calls == []
+    first = next(groups)
+    assert calls == [first.root]
+    assert first.count == 3003
+    assert 1 + sum(1 for _ in groups) == len(calls) == 63
+
+
+def test_stream_rejects_bad_requests_at_the_call():
+    # K = -1 passes both feasibility gates for F = 4; (6, 10) fails parity
+    for req in (EnumerationRequest(-1, 4), EnumerationRequest(6, 10, max_work=-5)):
+        with pytest.raises(ValueError):
+            iter_k_semigroups(req)
+
+
+def test_infeasible_stream_is_empty():
+    assert list(iter_k_semigroups(EnumerationRequest(6, 10))) == []
+    assert list(iter_k_semigroups(EnumerationRequest(8, 7))) == []
+
+
+def test_stream_budget_stops_between_groups():
+    groups = iter_k_semigroups(EnumerationRequest(10, 31, max_work=3000))
+    assert next(groups).count == 3003
+    with pytest.raises(BudgetExceeded):
+        next(groups)
 
 
 # ----------------------------------------------------------------------

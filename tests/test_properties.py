@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -12,6 +13,8 @@ from numsgps import (
     brute_l,
     brute_msg,
     brute_pf,
+    canonical_irreducible,
+    irreducible_children,
     pseudo_frobenius,
     theta,
 )
@@ -210,6 +213,48 @@ def test_gap_kernels_match_definitions_at_large_frobenius(s):
     assert p.h_value == max((x for x in second if 2 * x != f), default=-1)
     assert s.delta() == tuple(x for x in range(f) if 2 * x < f and x in s)
     assert NumericalSemigroup.from_gap_set(s.gaps) == s
+
+
+def _walk_down_irreducibles(f, rng):
+    # a random walk down the irreducible tree of F from C(F)
+    s = canonical_irreducible(f)
+    for _ in range(rng.randrange(40)):
+        children = irreducible_children(s, f)
+        if not children:
+            break
+        s = rng.choice(children)[0]
+    return s
+
+
+@given(st.integers(min_value=60, max_value=399), st.integers(min_value=0))
+@settings(deadline=None)
+def test_interval_is_the_down_sets_of_the_removable_part(f, seed):
+    # [theta(I), I] is {I \\ B : B a down-set of P(I)}, where
+    # P(I) = I n (F/2, F) \\ theta(I) and a <= b when b - a is in delta(I);
+    # every removal raises l by 2 and keeps theta.  F reaches far beyond
+    # any enumeration, which stops near F = 40.
+    rng = random.Random(seed)
+    root = _walk_down_irreducibles(f, rng)
+    low = theta(root)
+    delta = set(root.delta())
+    part = [x for x in range(f // 2 + 1, f) if x in root and x not in low]
+    for _ in range(10):
+        seeds = {x for x in part if rng.random() < rng.random()}
+        if rng.random() < 0.5:
+            # descending, so every b above a is settled before a
+            for a in sorted(part, reverse=True):
+                if any(b - a in delta for b in seeds):
+                    seeds.add(a)
+        down = all(a in seeds for b in seeds for a in part if b - a in delta)
+        s = NumericalSemigroup(f, root.bits & ~sum(1 << b for b in seeds))
+        try:
+            s.validate()
+        except NotClosed:
+            assert not down
+            continue
+        assert down
+        assert brute_l(s) == brute_l(root) + 2 * len(seeds)
+        assert theta(s) == low
 
 
 def _first_closure_witness(members, f):
