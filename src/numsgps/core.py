@@ -32,6 +32,7 @@ floating point appears anywhere.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -144,9 +145,10 @@ class NumericalSemigroup:
         Raises GcdNotOne when the generators do not span a cofinite set.
         Membership is closed by shifted ORs on [0, 2*m*max] and trimmed to
         the last gap; the classical bound F < m*max makes this window safe.
-        A window above MAX_CLOSURE_WINDOW raises BoundExceeded.
+        A window above MAX_CLOSURE_WINDOW raises BoundExceeded, and a
+        generator that is not an integer raises TypeError.
         """
-        gens = sorted({int(g) for g in generators})
+        gens = sorted({operator.index(g) for g in generators})
         if not gens:
             raise ValueError("at least one generator is required")
         if gens[0] < 1:
@@ -173,9 +175,9 @@ class NumericalSemigroup:
         Raises NotClosed(i, j) with the lexicographically first witness
         pair of members whose sum lands in the gap set.  The empty gap
         set yields N.  A largest gap F with F + 2 > MAX_CLOSURE_WINDOW
-        raises BoundExceeded.
+        raises BoundExceeded, and a gap that is not an integer raises TypeError.
         """
-        gap_list = sorted({int(x) for x in gaps})
+        gap_list = sorted({operator.index(x) for x in gaps})
         if not gap_list:
             return cls(-1, 1)
         if gap_list[0] < 1:

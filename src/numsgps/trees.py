@@ -38,11 +38,14 @@ for minimal generators x of S with 2x > F, x < F, 2x - F not in S,
 #(S \\ theta(S)) strictly decreases along every edge of this tree, and
 equals floor((F-1)/2) at the root.  That monotonicity justifies
 threshold pruning: dropping every node with #(S \\ theta(S)) < t also
-drops only nodes whose entire subtree is below t.
+drops only nodes whose entire subtree is below t.  Every count is >= 0,
+so only t > 0 can drop a node, and only then does the walk compute one.
 
 Both traversals are breadth-first with children ordered by edge label
-ascending, so node order is deterministic.  One sequential level
-generator drives every walk, keeping only the current level in memory.
+ascending, so node order is deterministic.  Both child rules read F off
+the node, since every node of either tree shares its root's F.  One
+sequential level generator drives every walk, keeping only the current
+level, and the parents it hangs from, in memory.
 
 Level order.  Each level of an interval tree comes out of the walk
 already in canonical order (ascending canonical key), so nothing sorts
@@ -181,61 +184,56 @@ def canonical_irreducible(frobenius: int) -> NumericalSemigroup:
 # interval tree of [theta(I), I]
 
 
-def interval_children(parent, edge_label, frobenius):
+def interval_children(parent, edge_label):
     """Children of a node in an interval tree, as (child, label) pairs.
 
     edge_label is the label on the edge into parent (h(parent); -1 at
     the root).  Labels come out ascending because minimal generators do.
     """
+    f = parent.frobenius
     return tuple(
         (parent.remove_element(x), x)
         for x in parent.minimal_generators
-        if 2 * x > frobenius and x < frobenius and x > edge_label
+        if 2 * x > f and x < f and x > edge_label
     )
 
 
-def _levels(root, expand, budget=None, keep=None):
-    # breadth-first levels, each a list of (parent position, semigroup,
-    # label) with the position indexing the previous level (None at the
-    # root); expand(sg, label) -> (child, label) pairs.  A level is
-    # charged to budget only when the next one is asked for.
-    level = [(None, root, -1)] if keep is None or keep(root) else []
+def _levels(root, expand, budget=None):
+    # breadth-first levels, each a list of (parent, semigroup, label)
+    # triples (parent None and label -1 at the root); expand(sg, label)
+    # -> (child, label) pairs.  A level is charged to budget only when
+    # the next one is asked for.
+    level = [(None, root, -1)]
     while level:
         yield level
         if budget is not None:
             budget.charge(len(level))
         level = [
-            (pos, child, label)
-            for pos, (_, sg, edge) in enumerate(level)
+            (sg, child, label)
+            for _, sg, edge in level
             for child, label in expand(sg, edge)
-            if keep is None or keep(child)
         ]
 
 
-def _bfs(root, expand, budget=None, keep=None):
-    # every level of _levels as TreeNodes holding their parent semigroups
-    nodes, above = [], None
-    for depth, level in enumerate(_levels(root, expand, budget, keep)):
-        nodes.extend(
-            TreeNode(sg, depth, label, None if pos is None else above[pos][1])
-            for pos, sg, label in level
-        )
-        above = level
-    return tuple(nodes)
+def _bfs(levels):
+    # every level as TreeNodes, in BFS order
+    return tuple(
+        TreeNode(sg, depth, label, parent)
+        for depth, level in enumerate(levels)
+        for parent, sg, label in level
+    )
 
 
-def _interval_expand(root):
-    # expand function of the interval tree rooted at the irreducible root
+def _check_irreducible(root):
     l_count = root.gap_profile.l_count
     if l_count > 1:
         raise NotIrreducible(root, l_count)
-    f = root.frobenius
-    return lambda sg, label: interval_children(sg, label, f)
 
 
 def interval_tree(root: NumericalSemigroup) -> SemigroupTree:
     """Full interval tree of [theta(I), I] for irreducible I."""
-    return SemigroupTree(TreeKind.INTERVAL, _bfs(root, _interval_expand(root)))
+    _check_irreducible(root)
+    return SemigroupTree(TreeKind.INTERVAL, _bfs(_levels(root, interval_children)))
 
 
 def interval_level(root, depth, budget=None):
@@ -249,7 +247,8 @@ def interval_level(root, depth, budget=None):
     """
     if depth < 0:
         raise ValueError("depth must be >= 0, got %d" % depth)
-    for n, level in enumerate(_levels(root, _interval_expand(root), budget)):
+    _check_irreducible(root)
+    for n, level in enumerate(_levels(root, interval_children, budget)):
         if n == depth:
             return tuple(sg for _, sg, _ in level)
     return ()
@@ -259,26 +258,27 @@ def interval_level(root, depth, budget=None):
 # tree of all irreducible semigroups with fixed Frobenius number
 
 
-def irreducible_children(s, frobenius):
+def irreducible_children(s):
     """Children of an irreducible node: swap a generator x for F - x.
 
     The five conditions on x (see the module docstring) are exactly the
     ones making the swap another irreducible semigroup with the same
     Frobenius number and making the relation a tree.
     """
+    f = s.frobenius
     m = s.multiplicity
     out = []
     for x in s.minimal_generators:
-        if not (2 * x > frobenius and x < frobenius):
+        if not (2 * x > f and x < f):
             continue
-        if s.contains(2 * x - frobenius):
+        if s.contains(2 * x - f):
             continue
-        if 3 * x == 2 * frobenius or 4 * x == 3 * frobenius:
+        if 3 * x == 2 * f or 4 * x == 3 * f:
             continue
-        if not frobenius - x < m:
+        if not f - x < m:
             continue
-        bits = (s.bits & ~(1 << x)) | (1 << (frobenius - x))
-        out.append((NumericalSemigroup(frobenius, bits), x))
+        bits = (s.bits & ~(1 << x)) | (1 << (f - x))
+        out.append((NumericalSemigroup(f, bits), x))
     return tuple(out)
 
 
@@ -290,19 +290,16 @@ def irreducible_tree(
     With prune_threshold = t, nodes with theta_surplus < t are dropped
     together with their subtrees; the strict decrease of theta_surplus
     along edges makes that lossless for any consumer that only wants
-    nodes with theta_surplus >= t.  A negative t raises ValueError.
+    nodes with theta_surplus >= t.  Every theta_surplus is >= 0, so t = 0
+    and None drop nothing and test nothing.  A negative t raises ValueError.
     """
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1, got %d" % frobenius)
     if prune_threshold is not None and prune_threshold < 0:
         raise ValueError("prune_threshold must be >= 0, got %d" % prune_threshold)
-    keep = None
-    if prune_threshold is not None:
-        keep = lambda sg: theta_surplus(sg) >= prune_threshold
-    nodes = _bfs(
-        canonical_irreducible(frobenius),
-        lambda sg, label: irreducible_children(sg, frobenius),
-        budget=budget,
-        keep=keep,
-    )
-    return SemigroupTree(TreeKind.IRREDUCIBLE, nodes)
+    root = canonical_irreducible(frobenius)
+    t = prune_threshold or 0
+    kept = lambda sg: not t or theta_surplus(sg) >= t
+    expand = lambda sg, label: [c for c in irreducible_children(sg) if kept(c[0])]
+    levels = _levels(root, expand, budget) if kept(root) else ()
+    return SemigroupTree(TreeKind.IRREDUCIBLE, _bfs(levels))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -351,6 +352,17 @@ def test_ksemigroups_budget(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_ksemigroups_budget_stops_a_threshold_zero_walk_quickly():
+    # K <= 1 prunes nothing, so the walk computes no theta surplus; level 1
+    # of the irreducible tree of F = 100,000 holds about 50,000 nodes
+    argv = ("ksemigroups", "--l", "1", "--frobenius", "100000", "--count")
+    start = time.perf_counter()
+    proc = python("-m", "numsgps.cli", *argv, "--max-work", "10", timeout=60)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: work budget of 10 expanded nodes exhausted\n"
 
 
 def test_ksemigroups_negative_budget_is_an_error(capsys):

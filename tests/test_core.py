@@ -76,6 +76,17 @@ def test_from_generators_rejects_nonpositive():
         NumericalSemigroup.from_generators([])
 
 
+def test_from_generators_refuses_a_float():
+    with pytest.raises(TypeError):
+        NumericalSemigroup.from_generators([2.5, 3])
+
+
+def test_from_generators_refuses_a_string():
+    # a string is iterable, and its characters are not integers
+    with pytest.raises(TypeError):
+        NumericalSemigroup.from_generators("23")
+
+
 def test_from_gap_set_round_trip():
     s = sg(5, 7, 9, 11)
     assert NumericalSemigroup.from_gap_set(s.gaps) == s
@@ -114,6 +125,11 @@ def test_from_gap_set_table_bound_is_inclusive(monkeypatch):
 def test_from_gap_set_rejects_nonpositive():
     with pytest.raises(ValueError):
         NumericalSemigroup.from_gap_set([0, 1])
+
+
+def test_from_gap_set_refuses_a_float():
+    with pytest.raises(TypeError):
+        NumericalSemigroup.from_gap_set([2.7])
 
 
 # ----------------------------------------------------------------------

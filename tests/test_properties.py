@@ -219,7 +219,7 @@ def _walk_down_irreducibles(f, rng):
     # a random walk down the irreducible tree of F from C(F)
     s = canonical_irreducible(f)
     for _ in range(rng.randrange(40)):
-        children = irreducible_children(s, f)
+        children = irreducible_children(s)
         if not children:
             break
         s = rng.choice(children)[0]

@@ -3,13 +3,16 @@ from __future__ import annotations
 import pytest
 
 import numsgps.core
+import numsgps.trees
 from numsgps import (
     BoundExceeded,
     BudgetExceeded,
+    EnumerationRequest,
     NotASubset,
     NotIrreducible,
     TreeKind,
     canonical_irreducible,
+    enumerate_k_semigroups,
     interval_children,
     interval_level,
     interval_tree,
@@ -185,9 +188,9 @@ def test_interval_tree_edges_golden():
 def test_tree_nodes_hold_their_parent():
     # every child is one the expand step makes from its parent
     trees = (
-        (interval_tree(sg(5, 7, 9, 11)), lambda s: interval_children(s, -1, 13)),
-        (irreducible_tree(17), lambda s: irreducible_children(s, 17)),
-        (irreducible_tree(21, 4), lambda s: irreducible_children(s, 21)),
+        (interval_tree(sg(5, 7, 9, 11)), lambda s: interval_children(s, -1)),
+        (irreducible_tree(17), lambda s: irreducible_children(s)),
+        (irreducible_tree(21, 4), lambda s: irreducible_children(s)),
     )
     for tree, children in trees:
         assert tree.nodes[0].parent is None
@@ -249,14 +252,14 @@ def test_interval_level_is_canonically_sorted():
 
 def test_interval_children_respect_label_floor():
     root = sg(5, 7, 9, 11)
-    all_children = interval_children(root, -1, 13)
+    all_children = interval_children(root, -1)
     assert [(c.minimal_generators, x) for c, x in all_children] == [
         ((5, 9, 11, 12), 7),
         ((5, 7, 11), 9),
         ((5, 7, 9), 11),
     ]
     # with the floor at 9 only the removal of 11 remains
-    floored = interval_children(root, 9, 13)
+    floored = interval_children(root, 9)
     assert [(c.minimal_generators, x) for c, x in floored] == [((5, 7, 9), 11)]
 
 
@@ -323,6 +326,31 @@ def test_irreducible_tree_pruning():
     assert len(irreducible_tree(11, prune_threshold=0)) == 6
 
 
+def test_pruning_keeps_exactly_the_nodes_at_or_above_the_threshold():
+    for f in range(1, 26):
+        full = irreducible_tree(f).nodes
+        for t in range((f - 1) // 2 + 2):
+            kept = tuple(n for n in full if theta_surplus(n.semigroup) >= t)
+            assert irreducible_tree(f, t).nodes == kept, (f, t)
+
+
+def test_threshold_zero_computes_no_surplus(monkeypatch):
+    calls = []
+    real = numsgps.trees.theta_surplus
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(numsgps.trees, "theta_surplus", counted)
+    irreducible_tree(21, prune_threshold=0)
+    enumerate_k_semigroups(EnumerationRequest(1, 20))
+    assert calls == []
+    irreducible_tree(21, prune_threshold=1)
+    # a node of surplus 0 has no children, so t = 1 tests every node once
+    assert len(calls) == len(irreducible_tree(21))
+
+
 def test_irreducible_tree_rejects_negative_threshold():
     with pytest.raises(ValueError, match="-2"):
         irreducible_tree(3, prune_threshold=-2)
@@ -342,7 +370,7 @@ def test_irreducible_tree_budget():
 
 def test_irreducible_children_golden():
     root = canonical_irreducible(11)
-    children = irreducible_children(root, 11)
+    children = irreducible_children(root)
     assert [(c.minimal_generators, x) for c, x in children] == [
         ((5, 7, 8, 9), 6),
         ((4, 6, 9), 7),
@@ -351,8 +379,8 @@ def test_irreducible_children_golden():
 
 
 def test_irreducible_children_leaf():
-    assert irreducible_children(sg(2, 13), 11) == ()
-    assert irreducible_children(sg(3, 7), 11) == ()
+    assert irreducible_children(sg(2, 13)) == ()
+    assert irreducible_children(sg(3, 7)) == ()
 
 
 def test_surplus_decreases_along_edges():
