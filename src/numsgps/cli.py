@@ -18,10 +18,14 @@ selects nothing: every run is sequential.  --dot additionally writes the
 traversed tree as a Graphviz digraph (edges point from child to parent,
 labeled with the removed generator).
 
-ksemigroups lists group by group: each root's D(I) prints as soon as it
-is built, so `numsgps ksemigroups ... | head` stops after the first
-group.  When --max-work runs out, stdout holds only the whole groups
-built before it, followed by the exit-2 error on stderr.
+ksemigroups takes each root and the size of its D(I) from count mode,
+which walks no slice, prints the group's header at once, and then
+streams the members from a depth-first walk of the slice, so
+`numsgps ksemigroups ... | head` stops inside the first group, and
+--count walks nothing.  --max-work charges each group, before it
+prints, the nodes a walk of its slice expands; when the budget runs
+out, stdout holds only the whole groups printed before it, followed by
+the exit-2 error on stderr.
 
 Exit codes: 0 success (including an empty but well-posed listing),
 1 verification mismatch, 2 usage or domain error (an input over a size
@@ -41,7 +45,7 @@ from .core import NumericalSemigroup
 from .enumeration import EnumerationRequest, Mode, feasible, iter_k_semigroups
 from .errors import NumericalSemigroupError
 from .oracle import ORACLE_MAX_FROBENIUS, crosscheck
-from .trees import interval_level, interval_tree, irreducible_tree
+from .trees import interval_tree, irreducible_tree, iter_interval_level
 
 
 def _gens_argument(text: str):
@@ -186,7 +190,7 @@ def cmd_interval_tree(args) -> int:
     root = NumericalSemigroup.from_generators(args.gens)
     if args.level is None:
         return _print_tree(interval_tree(root), args)
-    for s in interval_level(root, args.level):
+    for s in iter_interval_level(root, args.level):
         if args.json:
             print(_record_line(s, depth=args.level, edge_label=None, parent=None))
         else:
@@ -195,10 +199,11 @@ def cmd_interval_tree(args) -> int:
 
 
 def cmd_ksemigroups(args) -> int:
+    # roots and D(I) sizes come from count mode, which walks no slice
     request = EnumerationRequest(
         k=args.l,
         frobenius=args.frobenius,
-        mode=Mode.COUNT_ONLY if args.count else Mode.FULL,
+        mode=Mode.COUNT_ONLY,
         max_work=args.max_work,
     )
     groups = iter_k_semigroups(request)  # a bad K or W fails before feasibility
@@ -219,15 +224,16 @@ def cmd_ksemigroups(args) -> int:
         else:
             print(total)
         return 0
-    # each group prints, and reaches the reader, as soon as its D(I) is built
+    # each header prints at once, and the members stream from the walk
     for group in groups:
+        members = iter_interval_level(group.root, args.l // 2)
         if args.json:
             root = list(group.root.minimal_generators)
-            for member in group.members:
+            for member in members:
                 print(_record_line(member, root=root))
         else:
             print("# D(%s) %d" % (group.root, group.count))
-            for member in group.members:
+            for member in members:
                 print(member)
         sys.stdout.flush()
     return 0

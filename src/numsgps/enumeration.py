@@ -20,8 +20,11 @@ and the interval [theta(I), I] reaches that depth exactly when
 Each D(I) depends on its root alone, so iter_k_semigroups hands out the
 groups one root at a time, and enumerate_k_semigroups collects them.
 Roots appear in BFS discovery order, members of each group in canonical
-(gap list) order, so output is deterministic.  Every walk runs
-sequentially on one level generator (see trees), one root at a time.
+(gap list) order, so output is deterministic.  Mode.FULL walks each
+slice depth-first (see trees), one root at a time; Mode.COUNT_ONLY
+walks none, and takes |D(I)| from the down-set counts of
+trees.interval_level_counts.  Either way a budget is charged the nodes
+a walk of the slice expands, so both modes stop at the same group.
 
 witness_k_semigroup produces a single example without enumeration by
 deleting the floor(K/2) largest nonzero members below F from the
@@ -34,7 +37,12 @@ from dataclasses import dataclass
 
 from ._util import WorkBudget, map_ordered
 from .core import NumericalSemigroup, _bit_range
-from .trees import canonical_irreducible, interval_level, irreducible_tree
+from .trees import (
+    canonical_irreducible,
+    _level_counts,
+    interval_level,
+    irreducible_tree,
+)
 
 
 class Mode(enum.Enum):
@@ -87,18 +95,25 @@ def _roots(req: EnumerationRequest):
     full = req.mode is Mode.FULL
 
     def group(root):
-        members = interval_level(root, half, budget=budget)
-        return EnumerationGroup(root, members if full else None, len(members))
+        if full:
+            members = interval_level(root, half, budget=budget)
+            return EnumerationGroup(root, members, len(members))
+        # roots of the irreducible tree need no irreducibility check; the
+        # budget takes the units a walk of the slice would be charged
+        counts = _level_counts(root, half)
+        if budget is not None:
+            budget.charge(sum(counts[:half]))
+        return EnumerationGroup(root, None, counts[half])
 
     return [node.semigroup for node in tree.nodes], group
 
 
 def iter_k_semigroups(req: EnumerationRequest):
     """The groups of enumerate_k_semigroups(req), each yielded as soon as
-    its root's D(I) is built.
+    its root's D(I) is built, or counted in count mode.
 
     The request is validated, and the pruned irreducible tree walked,
-    when this is called; the interval levels are built one per next().
+    when this is called; the slices are built or counted one per next().
     An infeasible request yields nothing.  Raises ValueError for a
     negative k or max_work, and BudgetExceeded, at the call or at a
     next(), once more than req.max_work nodes have been expanded; the
@@ -115,7 +130,8 @@ def enumerate_k_semigroups(req: EnumerationRequest, threads=1) -> EnumerationRes
     """All S with l(S) = req.k and F(S) = req.frobenius, grouped by root.
 
     Raises BudgetExceeded when more than req.max_work nodes get expanded
-    across the pruned irreducible tree and the interval levels combined;
+    across the pruned irreducible tree and the interval levels combined,
+    counting the nodes a walk would expand in count mode too;
     partial results are discarded, not returned.  Raises ValueError for
     a negative k or max_work, or for threads < 1.  threads is accepted
     for compatibility and selects nothing: the run is always sequential.

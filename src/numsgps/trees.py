@@ -41,33 +41,49 @@ threshold pruning: dropping every node with #(S \\ theta(S)) < t also
 drops only nodes whose entire subtree is below t.  Every count is >= 0,
 so only t > 0 can drop a node, and only then does the walk compute one.
 
-Both traversals are breadth-first with children ordered by edge label
-ascending, so node order is deterministic.  Both child rules read F off
-the node, since every node of either tree shares its root's F.  One
-sequential level generator drives every walk, keeping only the current
-level, and the parents it hangs from, in memory.
+Whole trees are walked breadth-first by one sequential level generator,
+which keeps only the current level, and the parents it hangs from, in
+memory.  A slice of an interval tree is walked depth-first instead,
+keeping only the children of the nodes on the current path.  Both visit
+children by edge label ascending, so node order is deterministic.  Both
+child rules read F off the node, since every node of either tree shares
+its root's F.
 
-Level order.  Each level of an interval tree comes out of the walk
+Level order.  Each slice of an interval tree comes out of the walk
 already in canonical order (ascending canonical key), so nothing sorts
 it.  A depth-n node is I \\ B with B = {b1 < ... < bn} contained in
 (F/2, F), its elements removed in increasing order because labels rise
-along every path.  A level is listed by parent position, then by label
-ascending, so by induction on n every level is in lexicographic order
-of (b1, ..., bn): children of distinct parents differ in their first n
-coordinates, ordered as their parents are, and siblings differ only in
-the last.  Two nodes I \\ B and I \\ B' of one depth share F and gaps(I),
-so their tables first differ at d = min(B symmetric-difference B').
-Below d the two sets coincide and |B| = |B'|, so at the first position
-where the sorted tuples differ one holds d and the other a larger
-element: d lies in the lexicographically smaller tuple.  That node has
-d as a gap where the other has a member, so its gap list is the
-smaller one, and so is its canonical key.
+along every path.  A depth-first walk that visits children by label
+ascending reaches nodes in lexicographic order of their label paths,
+so it lists the slice in lexicographic order of (b1, ..., bn).  Two
+nodes I \\ B and I \\ B' of one depth share F and gaps(I), so their
+tables first differ at d = min(B symmetric-difference B').  Below d the
+two sets coincide and |B| = |B'|, so at the first position where the
+sorted tuples differ one holds d and the other a larger element: d lies
+in the lexicographically smaller tuple.  That node has d as a gap where
+the other has a member, so its gap list is the smaller one, and so is
+its canonical key.
+
+Level sizes.  Every S in [theta(I), I] is I \\ B for a set B inside
+P(I), the members of I in (F/2, F) outside theta(I).  S is closed
+exactly when B is a down-set of P(I) under a <= b iff b - a in delta(I)
+(a removed b above a kept a would be the sum a + (b - a) of two members
+of S).  Depth is |B|, so the depth-n slice has as many nodes as P(I)
+has n-element down-sets, and interval_level_counts counts them without
+walking.
 """
 
 import enum
 from dataclasses import dataclass
 
-from .core import NumericalSemigroup, _bit_range, _check_table_size, _closure_bits
+from .core import (
+    NumericalSemigroup,
+    _bit_range,
+    _check_table_size,
+    _closure_bits,
+    _mirror,
+    _set_bits,
+)
 from .errors import NotASubset, NotIrreducible
 
 
@@ -198,16 +214,27 @@ def interval_children(parent, edge_label):
     )
 
 
+def _charging(expand, budget):
+    # expand, with each child charged to budget as it is produced
+    def charged(sg, label):
+        for pair in expand(sg, label):
+            budget.charge()
+            yield pair
+
+    return charged
+
+
 def _levels(root, expand, budget=None):
     # breadth-first levels, each a list of (parent, semigroup, label)
     # triples (parent None and label -1 at the root); expand(sg, label)
-    # -> (child, label) pairs.  A level is charged to budget only when
-    # the next one is asked for.
+    # -> (child, label) pairs.  Each node is charged to budget as it is
+    # produced, so an overrun stops a level part-way.
+    if budget is not None:
+        budget.charge()
+        expand = _charging(expand, budget)
     level = [(None, root, -1)]
     while level:
         yield level
-        if budget is not None:
-            budget.charge(len(level))
         level = [
             (sg, child, label)
             for _, sg, edge in level
@@ -230,28 +257,200 @@ def _check_irreducible(root):
         raise NotIrreducible(root, l_count)
 
 
+def _check_slice(root, depth):
+    if depth < 0:
+        raise ValueError("depth must be >= 0, got %d" % depth)
+    _check_irreducible(root)
+
+
 def interval_tree(root: NumericalSemigroup) -> SemigroupTree:
     """Full interval tree of [theta(I), I] for irreducible I."""
     _check_irreducible(root)
     return SemigroupTree(TreeKind.INTERVAL, _bfs(_levels(root, interval_children)))
 
 
-def interval_level(root, depth, budget=None):
-    """Depth-n slice of the interval tree, in canonical order by
-    construction (see module docstring).
+def _walk(root, depth):
+    # depth-first, children by ascending label: stack[i] iterates the
+    # (child, label) pairs of one depth-i node, and the pairs of a
+    # depth-(n-1) node are the slice's members, listed as they stand
+    children = interval_children
+    if depth == 0:
+        yield root
+        return
+    stack = [iter(children(root, -1))]
+    while stack:
+        top = stack[-1]
+        if len(stack) == depth:
+            for sg, _ in top:
+                yield sg
+            stack.pop()
+            continue
+        pair = next(top, None)
+        if pair is None:
+            stack.pop()
+        else:
+            stack.append(iter(children(*pair)))
 
-    Only one level is alive at a time, so deep slices never materialize
-    the rest of the tree.  The result is empty once depth exceeds
-    #(I \\ theta(I)).  budget, when given, is charged one unit per
-    expanded node.
+
+def iter_interval_level(root, depth):
+    """The depth-n slice of the interval tree of I, one node at a time.
+
+    Nodes come out in canonical order by construction (see the module
+    docstring).  The walk is depth-first, so no level is ever held
+    whole.  It expands every node above the slice, and yields nothing
+    once depth exceeds #(I \\ theta(I)).  Raises ValueError for a
+    negative depth and NotIrreducible for a reducible root, at the call.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0, got %d" % depth)
-    _check_irreducible(root)
-    for n, level in enumerate(_levels(root, interval_children, budget)):
-        if n == depth:
-            return tuple(sg for _, sg, _ in level)
-    return ()
+    _check_slice(root, depth)
+    return _walk(root, depth)
+
+
+def interval_level(root, depth, budget=None):
+    """The depth-n slice of the interval tree, as a tuple in canonical
+    order (see iter_interval_level).
+
+    The result is empty once depth exceeds #(I \\ theta(I)).  budget,
+    when given, is charged one unit per node above the slice, the nodes
+    a walk expands, before anything is walked.
+    """
+    _check_slice(root, depth)
+    if budget is not None:
+        budget.charge(sum(_level_counts(root, depth)[:depth]))
+    return tuple(_walk(root, depth))
+
+
+def interval_level_counts(root, depth):
+    """Sizes of levels 0..depth of the interval tree of I, computed
+    without walking it.
+
+    The depth-n nodes are I \\ B for the n-element down-sets B of P(I)
+    under a <= b iff b - a in delta(I) (see the module docstring), so
+    the sizes are those down-set counts.  Levels past the height count
+    0.  Raises ValueError for a negative depth and NotIrreducible for a
+    reducible root.
+    """
+    _check_slice(root, depth)
+    return _level_counts(root, depth)
+
+
+def _level_counts(root, depth):
+    # interval_level_counts for a root known to be irreducible
+    counts = [1] + [0] * depth
+    f = root.frobenius
+    if depth == 0 or f < 3:
+        return tuple(counts)  # (F/2, F) holds no integer below F = 3
+    base = f // 2 + 1
+    small = root.bits & _bit_range(1, (f + 1) // 2)  # delta(I) less 0
+    closure = _delta_closure_bits(root)
+    p = ((root.bits & ~closure) >> base) & _bit_range(0, f - base)
+    if depth == 1:
+        # level 1: the minimal elements of P(I)
+        hit = 0
+        for d in _set_bits(small):
+            hit |= p << d
+        counts[1] = (p & ~hit).bit_count()
+        return tuple(counts)
+    return _down_set_counts(p, small, depth)
+
+
+def _down_set_counts(p, small, depth):
+    # counts of the down-sets of p with 0..depth elements, where bit b of
+    # p lies above bit a when b - a is set in small.  Memoized on the
+    # remaining mask without recursion: a connected mask branches on its
+    # element x of most comparabilities, as (down-sets without x) +
+    # t^#below(x) (down-sets with x); a disconnected one multiplies its
+    # parts, and its isolated elements give a binomial.
+    steps = small | 1  # the differences a <= b allows, 0 included
+    width = steps.bit_length()
+    back = _mirror(steps, width)  # bit width - d for each step d
+    xs = _set_bits(p)
+    above = {a: p & (steps << a) for a in xs}
+    below = {b: p & ((back << b) >> width) for b in xs}
+    both = {x: above[x] | below[x] for x in xs}
+    # an element with more than depth elements below it is in no down-set
+    # that counts, and those elements form an up-set, so drop them
+    p &= ~sum(1 << x for x, m in below.items() if m.bit_count() > depth)
+    size = depth + 1
+    memo = {0: [1] + [0] * depth}
+    plans = {}
+    stack = [p]
+    while stack:
+        m = stack[-1]
+        if m in memo:
+            stack.pop()
+            continue
+        plan = plans.get(m)
+        if plan is None:
+            plan = plans[m] = _plan(m, above, below, both, depth)
+        missing = [part for part in plan[1] if part not in memo]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        kind, parts, extra = plan
+        if kind == "branch":
+            # extra = #below(x) in m; parts = (m less up(x), m less down(x))
+            out = list(memo[parts[0]])
+            if len(parts) == 2:
+                shifted = memo[parts[1]]
+                for i in range(size - extra):
+                    out[i + extra] += shifted[i]
+        else:
+            # extra = number of isolated elements
+            out = _binomials(extra, size)
+            for part in parts:
+                out = _product(out, memo[part], size)
+        memo[m] = out
+    return tuple(memo[p])
+
+
+def _plan(m, above, below, both, depth):
+    # ("branch", parts, #below(x)) for a connected m with two or more
+    # elements, else ("product", components, isolated count)
+    near = {x: both[x] & m for x in _set_bits(m)}
+    isolated = 0
+    rest = 0
+    for x, y in near.items():
+        if y == 1 << x:
+            isolated += 1
+        else:
+            rest |= 1 << x
+    parts = []
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        comp = seen = near[x]
+        while seen:
+            grown = comp
+            for y in _set_bits(seen):
+                grown |= near[y]
+            seen, comp = grown & ~comp, grown
+        rest &= ~comp
+        parts.append(comp)
+    if parts == [m]:
+        x = max(near, key=lambda y: near[y].bit_count())
+        low = below[x] & m
+        n = low.bit_count()
+        pair = (m & ~above[x], m & ~low)
+        return ("branch", pair if n <= depth else pair[:1], n)
+    return ("product", parts, isolated)
+
+
+def _binomials(n, size):
+    # the coefficients of (1 + t)^n below t^size
+    out = [1] + [0] * (size - 1)
+    for i in range(1, min(n, size - 1) + 1):
+        out[i] = out[i - 1] * (n - i + 1) // i
+    return out
+
+
+def _product(a, b, size):
+    # a * b truncated below t^size
+    out = [0] * size
+    for i, x in enumerate(a):
+        if x:
+            for j in range(size - i):
+                out[i + j] += x * b[j]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -300,6 +499,7 @@ def irreducible_tree(
     root = canonical_irreducible(frobenius)
     t = prune_threshold or 0
     kept = lambda sg: not t or theta_surplus(sg) >= t
-    expand = lambda sg, label: [c for c in irreducible_children(sg) if kept(c[0])]
+    # lazy, so that a budget overrun stops the surplus tests with it
+    expand = lambda sg, label: (c for c in irreducible_children(sg) if kept(c[0]))
     levels = _levels(root, expand, budget) if kept(root) else ()
     return SemigroupTree(TreeKind.IRREDUCIBLE, _bfs(levels))

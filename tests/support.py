@@ -54,15 +54,21 @@ def plant_flipped_flag(monkeypatch, flag, target):
     monkeypatch.setattr(numsgps.oracle, "classify", faulty)
 
 
+def count_calls(monkeypatch, module, name):
+    """Record the first argument of every call made to module.name;
+    returns the list they are appended to."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def count_interval_levels(monkeypatch):
     """Record the root of every interval level numsgps.enumeration builds;
     returns the list the roots are appended to."""
-    calls = []
-    real = numsgps.enumeration.interval_level
-
-    def counted(root, *args, **kwargs):
-        calls.append(root)
-        return real(root, *args, **kwargs)
-
-    monkeypatch.setattr(numsgps.enumeration, "interval_level", counted)
-    return calls
+    return count_calls(monkeypatch, numsgps.enumeration, "interval_level")

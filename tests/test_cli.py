@@ -9,9 +9,11 @@ import time
 
 import pytest
 
+import numsgps.cli
+import numsgps.trees
 from numsgps import all_with_frobenius, classify
 from numsgps.cli import main, semigroup_record
-from support import SRC_ENV, count_interval_levels, plant_flipped_flag, python, sg
+from support import SRC_ENV, count_calls, plant_flipped_flag, python, sg
 
 
 def run(capsys, *argv):
@@ -365,6 +367,27 @@ def test_ksemigroups_budget_stops_a_threshold_zero_walk_quickly():
     assert proc.stderr == b"error: work budget of 10 expanded nodes exhausted\n"
 
 
+def test_ksemigroups_budget_stops_a_pruned_walk_quickly():
+    # K = 2 tests every child of C(F) for surplus; the budget stops those
+    # tests at the eleventh kept child, not after all 12,500 of level 1
+    argv = ("ksemigroups", "--l", "2", "--frobenius", "25001", "--count")
+    start = time.perf_counter()
+    proc = python("-m", "numsgps.cli", *argv, "--max-work", "10", timeout=60)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: work budget of 10 expanded nodes exhausted\n"
+
+
+def test_ksemigroups_count_walks_no_slice():
+    # 372,475 members over the roots of F = 41, counted without a walk
+    argv = ("ksemigroups", "--l", "20", "--frobenius", "41", "--count")
+    start = time.perf_counter()
+    proc = python("-m", "numsgps.cli", *argv, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0
+    assert proc.stdout == b"372475\n"
+
+
 def test_ksemigroups_negative_budget_is_an_error(capsys):
     code, out, err = run(
         capsys,
@@ -439,10 +462,14 @@ class _ClosedPipe:
 
 @pytest.mark.parametrize("mode", [(), ("--json",)])
 def test_closed_pipe_stops_after_the_first_group(monkeypatch, mode):
-    calls = count_interval_levels(monkeypatch)
+    # the first write fails: one slice walk is started, and it expands at
+    # most the K/2 nodes on the path to its first member
+    walks = count_calls(monkeypatch, numsgps.cli, "iter_interval_level")
+    expanded = count_calls(monkeypatch, numsgps.trees, "interval_children")
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     assert main(["ksemigroups", *mode, "--l", "10", "--frobenius", "31"]) == 141
-    assert len(calls) == 1
+    assert len(walks) == 1
+    assert len(expanded) <= 10 // 2
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from numsgps import (
@@ -34,20 +36,18 @@ GROUPS_K6_F11 = {
 
 
 # n_g, the number of numerical semigroups of genus g (OEIS A007323;
-# Bras-Amoros, Semigroup Forum 2008), for g = 1..19
+# Bras-Amoros, Semigroup Forum 2008), for g = 1..25
 GENUS_COUNTS = (
     1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857,
-    4806, 8045, 13467, 22464,
+    4806, 8045, 13467, 22464, 37396, 62194, 103246, 170963, 282828, 467224,
 )
 
 
-def _genus_count(g):
+def _genus_count(g, mode=Mode.COUNT_ONLY):
     # 2g = F + 1 + l, so genus g splits over F in [g, 2g - 1] with
     # l = 2g - F - 1 on each
     return sum(
-        enumerate_k_semigroups(
-            EnumerationRequest(2 * g - f - 1, f, Mode.COUNT_ONLY)
-        ).total
+        enumerate_k_semigroups(EnumerationRequest(2 * g - f - 1, f, mode)).total
         for f in range(g, 2 * g)
     )
 
@@ -134,6 +134,19 @@ def test_count_mode_omits_members():
     assert sorted(g.count for g in result.groups) == [1, 1, 10]
 
 
+def test_count_mode_totals_equal_the_walked_totals():
+    for f in range(1, 24):
+        for k in range(f):
+            if not feasible(k, f):
+                continue
+            full = enumerate_k_semigroups(EnumerationRequest(k, f))
+            counted = enumerate_k_semigroups(EnumerationRequest(k, f, Mode.COUNT_ONLY))
+            assert [(g.root, g.count) for g in counted.groups] == [
+                (g.root, g.count) for g in full.groups
+            ]
+            assert counted.total == full.total
+
+
 def test_threads_do_not_change_the_answer():
     lone = enumerate_k_semigroups(EnumerationRequest(8, 17), threads=1)
     pooled = enumerate_k_semigroups(EnumerationRequest(8, 17), threads=8)
@@ -206,6 +219,15 @@ def test_budget_boundary_is_exact():
             enumerate_k_semigroups(EnumerationRequest(k, f, max_work=work - 1))
 
 
+def test_count_mode_charges_what_a_walk_would():
+    # the pinned boundaries of test_budget_boundary_is_exact, with no walk
+    for (k, f), work in {(6, 11): 31, (8, 17): 217}.items():
+        req = EnumerationRequest(k, f, Mode.COUNT_ONLY, max_work=work)
+        assert enumerate_k_semigroups(req).total
+        with pytest.raises(BudgetExceeded):
+            enumerate_k_semigroups(dataclasses.replace(req, max_work=work - 1))
+
+
 def test_negative_budget_is_rejected():
     with pytest.raises(ValueError, match="-5"):
         enumerate_k_semigroups(EnumerationRequest(6, 11, max_work=-5))
@@ -265,9 +287,16 @@ def test_witness_sweep():
 
 
 def test_genus_counts_match_a007323():
-    # reaches F = 37, beyond the oracle's exhaustive range
-    counts = tuple(_genus_count(g) for g in range(1, 20))
+    # count mode sums down-set counts; it reaches F = 49, beyond the
+    # oracle's exhaustive range
+    counts = tuple(_genus_count(g) for g in range(1, 26))
     assert counts == GENUS_COUNTS
+
+
+def test_genus_counts_match_a007323_on_the_walked_slices():
+    # the same sums over walked slices, so the paper's walk stays anchored
+    counts = tuple(_genus_count(g, Mode.FULL) for g in range(1, 18))
+    assert counts == GENUS_COUNTS[:17]
 
 
 def test_frobenius_over_the_table_bound_is_refused():

@@ -53,11 +53,13 @@ PUBLIC_NAMES = [
     "in_family_u",
     "interval_children",
     "interval_level",
+    "interval_level_counts",
     "interval_tree",
     "irreducible_children",
     "irreducible_tree",
     "is_urpsy",
     "is_ursy",
+    "iter_interval_level",
     "iter_k_semigroups",
     "pf_fast_2sg",
     "pf_fast_3sg",
@@ -148,6 +150,7 @@ SIGNATURES = {
     "in_family_u": (("s", NO_DEFAULT),),
     "interval_children": (("parent", NO_DEFAULT), ("edge_label", NO_DEFAULT)),
     "interval_level": (("root", NO_DEFAULT), ("depth", NO_DEFAULT), ("budget", None)),
+    "interval_level_counts": (("root", NO_DEFAULT), ("depth", NO_DEFAULT)),
     "interval_tree": (("root", NO_DEFAULT),),
     "irreducible_children": (("s", NO_DEFAULT),),
     "irreducible_tree": (
@@ -157,6 +160,7 @@ SIGNATURES = {
     ),
     "is_urpsy": (("s", NO_DEFAULT),),
     "is_ursy": (("s", NO_DEFAULT),),
+    "iter_interval_level": (("root", NO_DEFAULT), ("depth", NO_DEFAULT)),
     "iter_k_semigroups": (("req", NO_DEFAULT),),
     "pf_fast_2sg": (("s", NO_DEFAULT),),
     "pf_fast_3sg": (("s", NO_DEFAULT),),
@@ -172,7 +176,7 @@ SIGNATURES = {
 
 def test_all_names_are_pinned():
     assert sorted(numsgps.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 54
 
 
 def test_every_public_callable_has_a_pinned_signature():

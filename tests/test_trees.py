@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import numsgps.core
@@ -15,15 +17,17 @@ from numsgps import (
     enumerate_k_semigroups,
     interval_children,
     interval_level,
+    interval_level_counts,
     interval_tree,
     irreducible_children,
     irreducible_tree,
+    iter_interval_level,
     relative_frobenius,
     theta,
     theta_surplus,
 )
 from numsgps._util import WorkBudget
-from support import sg
+from support import count_calls, sg
 
 # the complete interval tree under <5,7,9,11>, frozen level by level
 LEVELS_5_7_9_11 = (
@@ -282,6 +286,52 @@ def test_interval_level_rejects_negative_depth():
         interval_level(sg(5, 7, 9, 11), -1)
 
 
+def test_walk_lists_each_level_of_the_tree():
+    # every depth of every irreducible root with F <= 21, one past the height
+    for f in range(1, 22):
+        for root in irreducible_tree(f).semigroups():
+            tree = interval_tree(root)
+            for depth in range(tree.height + 2):
+                assert tuple(iter_interval_level(root, depth)) == tree.level(depth)
+
+
+def test_walk_checks_its_arguments_at_the_call():
+    with pytest.raises(ValueError, match="-1"):
+        iter_interval_level(sg(5, 7, 9, 11), -1)
+    with pytest.raises(NotIrreducible):
+        iter_interval_level(sg(5, 6, 7), 1)
+
+
+def test_level_counts_are_the_level_sizes():
+    # down-set counts of P(I) against the walked tree, for every
+    # irreducible root with F <= 23 at every depth up to the height + 1
+    for f in range(1, 24):
+        for root in irreducible_tree(f).semigroups():
+            tree = interval_tree(root)
+            sizes = [len(tree.level(d)) for d in range(tree.height + 2)]
+            for depth in range(tree.height + 2):
+                assert interval_level_counts(root, depth) == tuple(sizes[: depth + 1])
+
+
+def test_level_counts_of_the_canonical_root_are_binomials():
+    # delta(C(F)) = {0}, so P(C(F)) is an antichain of floor((F-1)/2) elements
+    f = 20_001
+    assert interval_level_counts(canonical_irreducible(f), 3) == tuple(
+        math.comb((f - 1) // 2, d) for d in range(4)
+    )
+    # 1,000 levels deep, and the last one holds theta itself
+    assert interval_level_counts(canonical_irreducible(2001), 1000)[-1] == 1
+
+
+def test_level_counts_check_their_arguments():
+    with pytest.raises(ValueError, match="-1"):
+        interval_level_counts(sg(5, 7, 9, 11), -1)
+    with pytest.raises(NotIrreducible):
+        interval_level_counts(sg(5, 6, 7), 1)
+    assert interval_level_counts(sg(5, 7, 9, 11), 0) == (1,)
+    assert interval_level_counts(sg(1), 2) == (1, 0, 0)
+
+
 # ----------------------------------------------------------------------
 # irreducible tree
 
@@ -366,6 +416,15 @@ def test_irreducible_tree_rejects_low_frobenius():
 def test_irreducible_tree_budget():
     with pytest.raises(BudgetExceeded):
         irreducible_tree(19, budget=WorkBudget(4))
+
+
+def test_budget_stops_the_surplus_tests_inside_a_level(monkeypatch):
+    # all 100 children of C(201) are kept at t = 1; the root and ten of them
+    # are tested before the eleventh charge overruns the budget of 10
+    tested = count_calls(monkeypatch, numsgps.trees, "theta_surplus")
+    with pytest.raises(BudgetExceeded):
+        irreducible_tree(201, prune_threshold=1, budget=WorkBudget(10))
+    assert len(tested) == 11
 
 
 def test_irreducible_children_golden():
