@@ -33,7 +33,10 @@ a node S are
     (S \\ {x}) union {F - x}
 
 for minimal generators x of S with 2x > F, x < F, 2x - F not in S,
-3x != 2F, 4x != 3F and F - x < multiplicity(S).
+3x != 2F, 4x != 3F and F - x < multiplicity(S).  The rule needs no
+msg(S): the smaller summand of a sum below F lies in delta(S), so the
+generators in (F/2, F) are the members there that are not y + d for a
+nonzero member y and a nonzero d in delta(S).
 
 #(S \\ theta(S)) strictly decreases along every edge of this tree, and
 equals floor((F-1)/2) at the root.  That monotonicity justifies
@@ -41,28 +44,30 @@ threshold pruning: dropping every node with #(S \\ theta(S)) < t also
 drops only nodes whose entire subtree is below t.  Every count is >= 0,
 so only t > 0 can drop a node, and only then does the walk compute one.
 
-Whole trees are walked breadth-first by one sequential level generator,
-which keeps only the current level, and the parents it hangs from, in
-memory.  A slice of an interval tree is walked depth-first instead,
-keeping only the children of the nodes on the current path.  Both visit
-children by edge label ascending, so node order is deterministic.  Both
-child rules read F off the node, since every node of either tree shares
-its root's F.
+One depth-first walker serves every traversal.  It keeps only the
+nodes on the current path, each with the rest of its children, and
+visits children by edge label ascending, so node order is
+deterministic; a budget is charged as each node is produced.  A whole
+tree is its walk grouped by depth, and a slice of an interval tree is
+the walk capped at the slice's depth.  Grouping by depth gives the
+breadth-first order: the walk reaches nodes in lexicographic order of
+their label paths, and a breadth-first walk lists each level in that
+order too (by induction, it lists a level by parent position, then by
+label).  Both child rules read F off the node, since every node of
+either tree shares its root's F.
 
 Level order.  Each slice of an interval tree comes out of the walk
 already in canonical order (ascending canonical key), so nothing sorts
 it.  A depth-n node is I \\ B with B = {b1 < ... < bn} contained in
 (F/2, F), its elements removed in increasing order because labels rise
-along every path.  A depth-first walk that visits children by label
-ascending reaches nodes in lexicographic order of their label paths,
-so it lists the slice in lexicographic order of (b1, ..., bn).  Two
-nodes I \\ B and I \\ B' of one depth share F and gaps(I), so their
-tables first differ at d = min(B symmetric-difference B').  Below d the
-two sets coincide and |B| = |B'|, so at the first position where the
-sorted tuples differ one holds d and the other a larger element: d lies
-in the lexicographically smaller tuple.  That node has d as a gap where
-the other has a member, so its gap list is the smaller one, and so is
-its canonical key.
+along every path, so the walk lists the slice in lexicographic order of
+(b1, ..., bn).  Two nodes I \\ B and I \\ B' of one depth share F and
+gaps(I), so their tables first differ at d = min(B symmetric-difference
+B').  Below d the two sets coincide and |B| = |B'|, so at the first
+position where the sorted tuples differ one holds d and the other a
+larger element: d lies in the lexicographically smaller tuple.  That
+node has d as a gap where the other has a member, so its gap list is
+the smaller one, and so is its canonical key.
 
 Level sizes.  Every S in [theta(I), I] is I \\ B for a set B inside
 P(I), the members of I in (F/2, F) outside theta(I).  S is closed
@@ -106,7 +111,8 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class SemigroupTree:
-    """A finished traversal: nodes in BFS order, nodes[0] the root."""
+    """A finished traversal: nodes in breadth-first order (level by
+    level, each level in walk order), nodes[0] the root."""
 
     kind: TreeKind
     nodes: tuple
@@ -205,50 +211,53 @@ def interval_children(parent, edge_label):
 
     edge_label is the label on the edge into parent (h(parent); -1 at
     the root).  Labels come out ascending because minimal generators do.
+    Each x is a minimal generator below F, so the child is
+    parent.remove_element(x), built here without checking x again.
     """
     f = parent.frobenius
+    bits = parent.bits
     return tuple(
-        (parent.remove_element(x), x)
+        (NumericalSemigroup(f, bits & ~(1 << x)), x)
         for x in parent.minimal_generators
         if 2 * x > f and x < f and x > edge_label
     )
 
 
-def _charging(expand, budget):
-    # expand, with each child charged to budget as it is produced
-    def charged(sg, label):
-        for pair in expand(sg, label):
-            budget.charge()
-            yield pair
-
-    return charged
-
-
-def _levels(root, expand, budget=None):
-    # breadth-first levels, each a list of (parent, semigroup, label)
-    # triples (parent None and label -1 at the root); expand(sg, label)
-    # -> (child, label) pairs.  Each node is charged to budget as it is
-    # produced, so an overrun stops a level part-way.
+def _dfs(root, expand, depth=None, budget=None):
+    # (depth, parent, node, label) in depth-first preorder, children by
+    # ascending label (parent None and label -1 at the root);
+    # expand(node, label) -> (child, label) pairs.  Nodes at depth are
+    # not expanded, and each node is charged to budget as it is produced,
+    # so an overrun stops the walk at once.  stack[i] holds a depth-i
+    # node and the iterator over its children.
     if budget is not None:
         budget.charge()
-        expand = _charging(expand, budget)
-    level = [(None, root, -1)]
-    while level:
-        yield level
-        level = [
-            (sg, child, label)
-            for _, sg, edge in level
-            for child, label in expand(sg, edge)
-        ]
+    yield 0, None, root, -1
+    if depth == 0:
+        return
+    stack = [(root, iter(expand(root, -1)))]
+    while stack:
+        n = len(stack)
+        parent, children = stack[-1]
+        for child, label in children:
+            if budget is not None:
+                budget.charge()
+            yield n, parent, child, label
+            if n != depth:
+                stack.append((child, iter(expand(child, label))))
+                break
+        else:
+            stack.pop()
 
 
-def _bfs(levels):
-    # every level as TreeNodes, in BFS order
-    return tuple(
-        TreeNode(sg, depth, label, parent)
-        for depth, level in enumerate(levels)
-        for parent, sg, label in level
-    )
+def _tree(kind, walk):
+    # the nodes of a walk grouped by depth: every level in walk order
+    levels = []
+    for depth, parent, sg, label in walk:
+        if depth == len(levels):
+            levels.append([])
+        levels[depth].append(TreeNode(sg, depth, label, parent))
+    return SemigroupTree(kind, tuple(n for level in levels for n in level))
 
 
 def _check_irreducible(root):
@@ -266,30 +275,7 @@ def _check_slice(root, depth):
 def interval_tree(root: NumericalSemigroup) -> SemigroupTree:
     """Full interval tree of [theta(I), I] for irreducible I."""
     _check_irreducible(root)
-    return SemigroupTree(TreeKind.INTERVAL, _bfs(_levels(root, interval_children)))
-
-
-def _walk(root, depth):
-    # depth-first, children by ascending label: stack[i] iterates the
-    # (child, label) pairs of one depth-i node, and the pairs of a
-    # depth-(n-1) node are the slice's members, listed as they stand
-    children = interval_children
-    if depth == 0:
-        yield root
-        return
-    stack = [iter(children(root, -1))]
-    while stack:
-        top = stack[-1]
-        if len(stack) == depth:
-            for sg, _ in top:
-                yield sg
-            stack.pop()
-            continue
-        pair = next(top, None)
-        if pair is None:
-            stack.pop()
-        else:
-            stack.append(iter(children(*pair)))
+    return _tree(TreeKind.INTERVAL, _dfs(root, interval_children))
 
 
 def iter_interval_level(root, depth):
@@ -302,7 +288,8 @@ def iter_interval_level(root, depth):
     negative depth and NotIrreducible for a reducible root, at the call.
     """
     _check_slice(root, depth)
-    return _walk(root, depth)
+    walk = _dfs(root, interval_children, depth)
+    return (sg for n, _, sg, _ in walk if n == depth)
 
 
 def interval_level(root, depth, budget=None):
@@ -316,7 +303,7 @@ def interval_level(root, depth, budget=None):
     _check_slice(root, depth)
     if budget is not None:
         budget.charge(sum(_level_counts(root, depth)[:depth]))
-    return tuple(_walk(root, depth))
+    return tuple(iter_interval_level(root, depth))
 
 
 def interval_level_counts(root, depth):
@@ -356,20 +343,19 @@ def _level_counts(root, depth):
 def _down_set_counts(p, small, depth):
     # counts of the down-sets of p with 0..depth elements, where bit b of
     # p lies above bit a when b - a is set in small.  Memoized on the
-    # remaining mask without recursion: a connected mask branches on its
-    # element x of most comparabilities, as (down-sets without x) +
-    # t^#below(x) (down-sets with x); a disconnected one multiplies its
-    # parts, and its isolated elements give a binomial.
+    # remaining mask without recursion: a disconnected mask multiplies
+    # its parts, and its isolated elements give a binomial; a connected
+    # one splits on its lowest element x, which is minimal, as (down-sets
+    # of m without up(x)) + t (down-sets of m without x)
     steps = small | 1  # the differences a <= b allows, 0 included
     width = steps.bit_length()
     back = _mirror(steps, width)  # bit width - d for each step d
     xs = _set_bits(p)
-    above = {a: p & (steps << a) for a in xs}
     below = {b: p & ((back << b) >> width) for b in xs}
-    both = {x: above[x] | below[x] for x in xs}
     # an element with more than depth elements below it is in no down-set
     # that counts, and those elements form an up-set, so drop them
     p &= ~sum(1 << x for x, m in below.items() if m.bit_count() > depth)
+    links = {x: below[x] | (p & (steps << x)) for x in xs}  # comparables
     size = depth + 1
     memo = {0: [1] + [0] * depth}
     plans = {}
@@ -381,33 +367,29 @@ def _down_set_counts(p, small, depth):
             continue
         plan = plans.get(m)
         if plan is None:
-            plan = plans[m] = _plan(m, above, below, both, depth)
+            plan = plans[m] = _plan(m, links, steps)
         missing = [part for part in plan[1] if part not in memo]
         if missing:
             stack += missing
             continue
         stack.pop()
-        kind, parts, extra = plan
+        kind, parts, isolated = plan
         if kind == "branch":
-            # extra = #below(x) in m; parts = (m less up(x), m less down(x))
-            out = list(memo[parts[0]])
-            if len(parts) == 2:
-                shifted = memo[parts[1]]
-                for i in range(size - extra):
-                    out[i + extra] += shifted[i]
+            without, rest = (memo[part] for part in parts)
+            out = without[:1] + [a + b for a, b in zip(without[1:], rest)]
         else:
-            # extra = number of isolated elements
-            out = _binomials(extra, size)
+            out = _binomials(isolated, size)
             for part in parts:
                 out = _product(out, memo[part], size)
         memo[m] = out
     return tuple(memo[p])
 
 
-def _plan(m, above, below, both, depth):
-    # ("branch", parts, #below(x)) for a connected m with two or more
-    # elements, else ("product", components, isolated count)
-    near = {x: both[x] & m for x in _set_bits(m)}
+def _plan(m, links, steps):
+    # ("branch", (m less up(x), m less x), None) for a connected m with
+    # two or more elements and x its lowest, else ("product", components,
+    # isolated count)
+    near = {x: links[x] & m for x in _set_bits(m)}
     isolated = 0
     rest = 0
     for x, y in near.items():
@@ -427,11 +409,8 @@ def _plan(m, above, below, both, depth):
         rest &= ~comp
         parts.append(comp)
     if parts == [m]:
-        x = max(near, key=lambda y: near[y].bit_count())
-        low = below[x] & m
-        n = low.bit_count()
-        pair = (m & ~above[x], m & ~low)
-        return ("branch", pair if n <= depth else pair[:1], n)
+        x = (m & -m).bit_length() - 1
+        return ("branch", (m & ~(steps << x), m & ~(1 << x)), None)
     return ("product", parts, isolated)
 
 
@@ -464,21 +443,33 @@ def irreducible_children(s):
     ones making the swap another irreducible semigroup with the same
     Frobenius number and making the relation a tree.
     """
+    return tuple(_irreducible_children(s))
+
+
+def _irreducible_children(s):
+    # irreducible_children one child at a time, without msg(S): the
+    # smaller summand of a sum below F lies in delta(S), so a member x in
+    # (F/2, F) is a generator unless x - d is a nonzero member for some
+    # d > 0 in delta(S).  Candidates come lowest first off one mask, never
+    # listed, so a suspended walk holds O(F) bits per node on its path.
     f = s.frobenius
-    m = s.multiplicity
-    out = []
-    for x in s.minimal_generators:
-        if not (2 * x > f and x < f):
-            continue
+    members = s.bits & ~1
+    sums = 0
+    for d in s.delta()[1:]:
+        sums |= members << d
+    # F - x < m, i.e. x > F - m, folded into the range
+    lo = max(f // 2, f - s.multiplicity) + 1
+    candidates = members & ~sums & _bit_range(lo, f)
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        x = low.bit_length() - 1
         if s.contains(2 * x - f):
             continue
         if 3 * x == 2 * f or 4 * x == 3 * f:
             continue
-        if not f - x < m:
-            continue
         bits = (s.bits & ~(1 << x)) | (1 << (f - x))
-        out.append((NumericalSemigroup(f, bits), x))
-    return tuple(out)
+        yield NumericalSemigroup(f, bits), x
 
 
 def irreducible_tree(
@@ -500,6 +491,6 @@ def irreducible_tree(
     t = prune_threshold or 0
     kept = lambda sg: not t or theta_surplus(sg) >= t
     # lazy, so that a budget overrun stops the surplus tests with it
-    expand = lambda sg, label: (c for c in irreducible_children(sg) if kept(c[0]))
-    levels = _levels(root, expand, budget) if kept(root) else ()
-    return SemigroupTree(TreeKind.IRREDUCIBLE, _bfs(levels))
+    expand = lambda sg, label: (c for c in _irreducible_children(sg) if kept(c[0]))
+    walk = _dfs(root, expand, budget=budget) if kept(root) else ()
+    return _tree(TreeKind.IRREDUCIBLE, walk)

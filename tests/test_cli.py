@@ -560,6 +560,16 @@ def test_record_flags_match_classify():
             ("ksemigroups", "--l", "6", "--frobenius", "17", "--count", "--json"),
             "40a58b8953e20949e78af559e70a30f48f4b15f0814169d94415a8b4efc165cd",
         ),
+        (
+            # 420 nodes, in tree order
+            ("irreducibles", "--frobenius", "41"),
+            "077d63d1dec7a4ae6ca79dfcd1a83f20082308597ce0aac2949b3c610617d75b",
+        ),
+        (
+            # 576 nodes, height 10
+            ("interval-tree", "--gens", "10,13,14,16,17,18,19,21,22"),
+            "3cccd7576821b40d4e58fdfc9861b892023a978548fe77f15967d865b875090c",
+        ),
     ],
 )
 def test_record_output_golden(capsys, argv, digest):
@@ -578,6 +588,10 @@ def test_record_output_golden(capsys, argv, digest):
         (
             ("interval-tree", "--gens", "5,7,9,11"),
             "d5536ae85536091c1ddd01abf965794daea29589a50d7471c0ff0902be411c66",
+        ),
+        (
+            ("interval-tree", "--gens", "10,13,14,16,17,18,19,21,22"),
+            "20f7f3cac091a6bbeb6fa433525b67632378c0d84b7cd92da7b7323c50712f32",
         ),
     ],
 )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -281,6 +282,16 @@ def test_interval_level_charges_every_level_above_the_slice():
         assert budget.used == used
 
 
+def test_walk_expands_only_the_nodes_above_the_slice(monkeypatch):
+    # levels of <5,7,9,11> hold 1, 3, 4, 3, 1 nodes; past the height,
+    # every node is expanded and nothing is yielded
+    expanded = count_calls(monkeypatch, numsgps.trees, "interval_children")
+    for depth, calls in ((0, 0), (1, 1), (3, 8), (4, 11), (6, 12)):
+        expanded.clear()
+        interval_level(sg(5, 7, 9, 11), depth)
+        assert len(expanded) == calls
+
+
 def test_interval_level_rejects_negative_depth():
     with pytest.raises(ValueError, match="-1"):
         interval_level(sg(5, 7, 9, 11), -1)
@@ -419,12 +430,27 @@ def test_irreducible_tree_budget():
 
 
 def test_budget_stops_the_surplus_tests_inside_a_level(monkeypatch):
-    # all 100 children of C(201) are kept at t = 1; the root and ten of them
-    # are tested before the eleventh charge overruns the budget of 10
+    # the walk goes down the first path of C(201)'s tree, whose nodes have
+    # surplus 100, 98, 95, ... and are all kept at t = 1; the root and ten
+    # nodes below it are tested before the eleventh charge overruns the
+    # budget of 10
     tested = count_calls(monkeypatch, numsgps.trees, "theta_surplus")
     with pytest.raises(BudgetExceeded):
         irreducible_tree(201, prune_threshold=1, budget=WorkBudget(10))
     assert len(tested) == 11
+
+
+def test_budget_stop_builds_no_whole_level():
+    # C(100001) has about 25,000 children of 100,002 bits each; a walk
+    # stopped after 10 nodes builds only the ones on its path
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            irreducible_tree(100_001, prune_threshold=1, budget=WorkBudget(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_irreducible_children_golden():
