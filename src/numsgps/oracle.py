@@ -78,9 +78,9 @@ class _MemberTable:
     @classmethod
     def of(cls, s: NumericalSemigroup):
         f = s.frobenius
-        return cls(
-            f, frozenset(i for i in range(max(f, 0) + 1) if (s.bits >> i) & 1)
-        )
+        # the table's binary digits, bit i at index i, up to F
+        digits = bin(s.bits)[:1:-1][: max(f, 0) + 1]
+        return cls(f, frozenset([i for i, c in enumerate(digits) if c == "1"]))
 
     def contains(self, x):
         if x < 0:
@@ -131,7 +131,13 @@ def _tbl_second_kind(t):
 
 
 def _tbl_l(t):
-    return len(_tbl_second_kind(t))
+    # the gaps x in [1, F] with F - x no small element; F - x < F, so
+    # that is F - x outside the table
+    f = t.frobenius
+    members = t.members
+    return len(
+        [x for x in range(1, f + 1) if x not in members and f - x not in members]
+    )
 
 
 def _tbl_h(t):
@@ -291,6 +297,10 @@ def all_with_frobenius(frobenius: int):
         status[x] = None
 
     place(f - 1)
+    # place refers to itself through its closure; clearing the name
+    # breaks that cycle, so the search state is freed on return instead
+    # of at the next cyclic collection
+    del place
     return tuple(s for _, s in sorted(results, key=lambda pair: pair[0]))
 
 

@@ -11,11 +11,21 @@ theta(S) is again a numerical semigroup with the same Frobenius number,
 contained in S, and theta(S) = theta(T) for every T between theta(S)
 and S.
 
+Child mask.  Both trees remove from a node S some of the elements of
+
+    U(S) = msg(S) n (F/2, F),
+
+and both read U(S) off one mask, with no msg(S).  The smaller summand of
+a sum x < F is at most x/2 < F/2, so it lies in delta(S): a member x in
+(F/2, F) is a generator exactly when no x - d is a nonzero member, d a
+nonzero element of delta(S).  So U(S) is the members in (F/2, F) less
+the union of the shifts (S \\ {0}) + d over those d.
+
 Interval tree.  For an irreducible semigroup I (l(I) <= 1) the interval
 [theta(I), I] = {S : theta(I) <= S <= I} ordered by inclusion carries a
 tree rooted at I: the children of a node P reached by removing x0 are
 
-    P \\ {x}   for x in msg(P) with F/2 < x < F and x > x0,
+    P \\ {x}   for x in U(P) with x > x0,
 
 where the root carries the sentinel label -1.  Every node of depth n has
 l = 2n + l(I), the depth-n slice is exactly {S in [theta(I), I] :
@@ -32,11 +42,8 @@ a node S are
 
     (S \\ {x}) union {F - x}
 
-for minimal generators x of S with 2x > F, x < F, 2x - F not in S,
-3x != 2F, 4x != 3F and F - x < multiplicity(S).  The rule needs no
-msg(S): the smaller summand of a sum below F lies in delta(S), so the
-generators in (F/2, F) are the members there that are not y + d for a
-nonzero member y and a nonzero d in delta(S).
+for x in U(S) with 2x - F not in S, 3x != 2F, 4x != 3F and
+F - x < multiplicity(S).
 
 #(S \\ theta(S)) strictly decreases along every edge of this tree, and
 equals floor((F-1)/2) at the root.  That monotonicity justifies
@@ -76,6 +83,17 @@ exactly when B is a down-set of P(I) under a <= b iff b - a in delta(I)
 of S).  Depth is |B|, so the depth-n slice has as many nodes as P(I)
 has n-element down-sets, and interval_level_counts counts them without
 walking.
+
+The minimal elements of P(I) are exactly U(I), so level 1 is a popcount
+of the child mask.  An x in U(I) lies outside theta(I), whose members in
+(F/2, F) are sums of two or more nonzero elements of delta(I), and it
+is no a + d with a in P(I) and d > 0 in delta(I): it is in P(I) and
+minimal there.  Conversely, let x be minimal in P(I) and suppose x = a + d with
+d > 0 in delta(I) and a > 0 in I.  Then 2a != F, since F/2 is never a
+member (2 (F/2) = F).  If 2a < F, a is in delta(I) and x is in
+theta(I); if 2a > F, a is in P(I), since a in theta(I) would put
+x = a + d there, and a lies below x.  Either way x is not minimal in
+P(I), so x is a generator.
 """
 
 import enum
@@ -161,9 +179,41 @@ def relative_frobenius(sup: NumericalSemigroup, sub: NumericalSemigroup) -> int:
     return (wide & ~sub.bits).bit_length() - 1
 
 
+def _lowest_first(mask):
+    # positions of the set bits of mask >= 0, ascending, one lowest bit
+    # at a time: a sparse mask over many bits costs its set bits only
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _small_members(s):
+    # delta(S) \ {0} as a mask: the nonzero members x with 2x < F
+    return s.bits & _bit_range(1, (s.frobenius + 1) // 2)
+
+
 def _delta_closure_bits(s):
     # bit table over [0, F] of the semigroup generated by delta(S) \ {0}
-    return _closure_bits([d for d in s.delta() if d > 0], s.frobenius)
+    return _closure_bits(_lowest_first(_small_members(s)), s.frobenius)
+
+
+def _upper_generators(s):
+    # U(S) = msg(S) n (F/2, F) as a mask (see the module docstring), the
+    # one source of both trees' children
+    f = s.frobenius
+    if f < 3:
+        return 0  # (F/2, F) holds no integer
+    members = s.bits & ~1
+    sums = 0
+    for d in _lowest_first(_small_members(s)):
+        sums |= members << d
+    return members & ~sums & _bit_range(f // 2 + 1, f)
+
+
+def _above(mask, x):
+    # the set bits of mask >= 0 at positions above x, for any integer x
+    return mask & (-1 << max(x + 1, 0))
 
 
 def theta(s: NumericalSemigroup) -> NumericalSemigroup:
@@ -210,16 +260,16 @@ def interval_children(parent, edge_label):
     """Children of a node in an interval tree, as (child, label) pairs.
 
     edge_label is the label on the edge into parent (h(parent); -1 at
-    the root).  Labels come out ascending because minimal generators do.
-    Each x is a minimal generator below F, so the child is
-    parent.remove_element(x), built here without checking x again.
+    the root).  The labels are the elements x > edge_label of the child
+    mask U(parent) (see the module docstring), ascending.  Each is a
+    minimal generator below F, so the child is parent.remove_element(x),
+    built here without checking x again.
     """
     f = parent.frobenius
     bits = parent.bits
+    labels = _above(_upper_generators(parent), edge_label)
     return tuple(
-        (NumericalSemigroup(f, bits & ~(1 << x)), x)
-        for x in parent.minimal_generators
-        if 2 * x > f and x < f and x > edge_label
+        (NumericalSemigroup(f, bits & ~(1 << x)), x) for x in _lowest_first(labels)
     )
 
 
@@ -326,18 +376,14 @@ def _level_counts(root, depth):
     f = root.frobenius
     if depth == 0 or f < 3:
         return tuple(counts)  # (F/2, F) holds no integer below F = 3
+    if depth == 1:
+        # level 1: the minimal elements of P(I), which are U(I)
+        counts[1] = _upper_generators(root).bit_count()
+        return tuple(counts)
     base = f // 2 + 1
-    small = root.bits & _bit_range(1, (f + 1) // 2)  # delta(I) less 0
     closure = _delta_closure_bits(root)
     p = ((root.bits & ~closure) >> base) & _bit_range(0, f - base)
-    if depth == 1:
-        # level 1: the minimal elements of P(I)
-        hit = 0
-        for d in _set_bits(small):
-            hit |= p << d
-        counts[1] = (p & ~hit).bit_count()
-        return tuple(counts)
-    return _down_set_counts(p, small, depth)
+    return _down_set_counts(p, _small_members(root), depth)
 
 
 def _down_set_counts(p, small, depth):
@@ -447,23 +493,13 @@ def irreducible_children(s):
 
 
 def _irreducible_children(s):
-    # irreducible_children one child at a time, without msg(S): the
-    # smaller summand of a sum below F lies in delta(S), so a member x in
-    # (F/2, F) is a generator unless x - d is a nonzero member for some
-    # d > 0 in delta(S).  Candidates come lowest first off one mask, never
-    # listed, so a suspended walk holds O(F) bits per node on its path.
+    # irreducible_children one child at a time.  Candidates come lowest
+    # first off the child mask U(S), never listed, so a suspended walk
+    # holds O(F) bits per node on its path.
     f = s.frobenius
-    members = s.bits & ~1
-    sums = 0
-    for d in s.delta()[1:]:
-        sums |= members << d
-    # F - x < m, i.e. x > F - m, folded into the range
-    lo = max(f // 2, f - s.multiplicity) + 1
-    candidates = members & ~sums & _bit_range(lo, f)
-    while candidates:
-        low = candidates & -candidates
-        candidates ^= low
-        x = low.bit_length() - 1
+    # F - x < m, i.e. x > F - m
+    candidates = _above(_upper_generators(s), f - s.multiplicity)
+    for x in _lowest_first(candidates):
         if s.contains(2 * x - f):
             continue
         if 3 * x == 2 * f or 4 * x == 3 * f:

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import gc
 import inspect
 
 import pytest
 
 import numsgps.oracle
 from numsgps import (
+    NATURALS,
     BoundExceeded,
     ORACLE_MAX_FROBENIUS,
     all_with_frobenius,
@@ -17,7 +19,7 @@ from numsgps import (
     crosscheck,
     pseudo_frobenius,
 )
-from numsgps.oracle import _MemberTable, _tbl_mask, _tbl_maximal
+from numsgps.oracle import _MemberTable, _tbl_mask, _tbl_maximal, _tbl_second_kind
 from support import plant_flipped_flag, sg
 
 # how many numerical semigroups exist per Frobenius number
@@ -63,6 +65,19 @@ def test_population_sizes():
     assert sizes == POPULATION_SIZES
 
 
+def test_all_with_frobenius_leaves_no_cyclic_garbage():
+    # the search state is freed on return, not held until a collection
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        all_with_frobenius(12)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_all_with_frobenius_is_canonically_sorted():
     # the oracle sorts by gap list; the fast key must agree with its order
     for f in range(1, 17):
@@ -100,6 +115,12 @@ def test_brute_l_golden():
     assert brute_l(sg(3, 5, 7)) == 1
     assert brute_l(sg(3, 13, 17)) == 3
     assert brute_l(sg(5, 14, 16, 17, 18)) == 8
+
+
+def test_brute_l_counts_the_second_kind_list():
+    # the one-pass count against the oracle's own list of second-kind gaps
+    for s in (NATURALS, *(s for f in range(1, 19) for s in all_with_frobenius(f))):
+        assert brute_l(s) == len(_tbl_second_kind(_MemberTable.of(s)))
 
 
 def test_brute_pf_golden():

@@ -18,6 +18,7 @@ from numsgps import (
     pseudo_frobenius,
     theta,
 )
+from numsgps.trees import _upper_generators
 
 gen_lists = st.lists(
     st.integers(min_value=2, max_value=60), min_size=2, max_size=6
@@ -213,6 +214,14 @@ def test_gap_kernels_match_definitions_at_large_frobenius(s):
     assert p.h_value == max((x for x in second if 2 * x != f), default=-1)
     assert s.delta() == tuple(x for x in range(f) if 2 * x < f and x in s)
     assert NumericalSemigroup.from_gap_set(s.gaps) == s
+
+
+@given(wide_semigroups())
+@settings(deadline=None)
+def test_child_mask_is_the_upper_generators_at_large_frobenius(s):
+    f = s.frobenius
+    upper = [g for g in s.minimal_generators if f < 2 * g and g < f]
+    assert _upper_generators(s) == sum(1 << g for g in upper)
 
 
 def _walk_down_irreducibles(f, rng):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -8,12 +9,14 @@ import pytest
 import numsgps.core
 import numsgps.trees
 from numsgps import (
+    NATURALS,
     BoundExceeded,
     BudgetExceeded,
     EnumerationRequest,
     NotASubset,
     NotIrreducible,
     TreeKind,
+    all_with_frobenius,
     canonical_irreducible,
     enumerate_k_semigroups,
     interval_children,
@@ -28,6 +31,7 @@ from numsgps import (
     theta_surplus,
 )
 from numsgps._util import WorkBudget
+from numsgps.trees import _upper_generators
 from support import count_calls, sg
 
 # the complete interval tree under <5,7,9,11>, frozen level by level
@@ -268,6 +272,40 @@ def test_interval_children_respect_label_floor():
     assert [(c.minimal_generators, x) for c, x in floored] == [((5, 7, 9), 11)]
 
 
+def test_interval_children_below_every_label_are_all_children():
+    root = sg(5, 7, 9, 11)
+    assert interval_children(root, -5) == interval_children(root, -1)
+
+
+def test_nodes_without_an_upper_half_have_no_children():
+    # (F/2, F) holds no integer for N (F = -1), F = 1 and F = 2
+    assert interval_tree(NATURALS).semigroups() == (NATURALS,)
+    assert interval_children(NATURALS, -1) == ()
+    for s in (sg(2, 3), sg(3, 4, 5)):
+        assert s.frobenius in (1, 2)
+        assert interval_children(s, -1) == ()
+        assert irreducible_children(s) == ()
+        assert interval_tree(s).semigroups() == (s,)
+
+
+def test_child_mask_is_the_upper_generators():
+    # one mask feeds both child rules: msg(S) n (F/2, F), on N and on
+    # every semigroup with F <= 16
+    assert _upper_generators(NATURALS) == 0
+    for f in range(1, 17):
+        for s in all_with_frobenius(f):
+            upper = [g for g in s.minimal_generators if f < 2 * g and g < f]
+            assert _upper_generators(s) == sum(1 << g for g in upper)
+
+
+def test_level_one_counts_the_child_mask():
+    # the minimal elements of P(I) are msg(I) n (F/2, F)
+    for f in range(1, 24):
+        for root in irreducible_tree(f).semigroups():
+            count = _upper_generators(root).bit_count()
+            assert interval_level_counts(root, 1)[1] == count
+
+
 def test_interval_level_budget():
     with pytest.raises(BudgetExceeded):
         interval_level(sg(5, 7, 9, 11), 4, budget=WorkBudget(3))
@@ -451,6 +489,15 @@ def test_budget_stop_builds_no_whole_level():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_budget_stop_at_a_large_frobenius_is_fast():
+    # C(4000001) and its children hold delta(S) of at most a few members
+    # in 2,000,000 bits; the child mask reads those members only
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        irreducible_tree(4_000_001, prune_threshold=1, budget=WorkBudget(10))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_irreducible_children_golden():
