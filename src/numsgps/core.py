@@ -66,6 +66,11 @@ def _set_bits(x):
     return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
 
 
+def _delta_bits(s):
+    # delta(S) as a mask: the members x with 2x < F
+    return s.bits & _bit_range(0, (s.frobenius + 1) // 2)
+
+
 def _mirror(x, f):
     # bit i of the result is bit f - i of x, for x over [0, f]
     return int(format(x, "0%db" % (f + 1))[::-1], 2)
@@ -280,7 +285,7 @@ class NumericalSemigroup:
 
     def delta(self):
         """Members below half the Frobenius number: {s in S : 2s < F}."""
-        return tuple(_set_bits(self.bits & _bit_range(0, (self.frobenius + 1) // 2)))
+        return tuple(_set_bits(_delta_bits(self)))
 
     # ------------------------------------------------------------------
     # mutations (return new values)

@@ -125,19 +125,15 @@ def _tbl_first_kind(t):
 
 
 def _tbl_second_kind(t):
-    f = t.frobenius
-    small = set(_tbl_small(t))
-    return [x for x in _tbl_gaps(t) if f - x not in small]
-
-
-def _tbl_l(t):
     # the gaps x in [1, F] with F - x no small element; F - x < F, so
     # that is F - x outside the table
     f = t.frobenius
     members = t.members
-    return len(
-        [x for x in range(1, f + 1) if x not in members and f - x not in members]
-    )
+    return [x for x in range(1, f + 1) if x not in members and f - x not in members]
+
+
+def _tbl_l(t):
+    return len(_tbl_second_kind(t))
 
 
 def _tbl_h(t):

@@ -104,6 +104,7 @@ from .core import (
     _bit_range,
     _check_table_size,
     _closure_bits,
+    _delta_bits,
     _mirror,
     _set_bits,
 )
@@ -189,8 +190,8 @@ def _lowest_first(mask):
 
 
 def _small_members(s):
-    # delta(S) \ {0} as a mask: the nonzero members x with 2x < F
-    return s.bits & _bit_range(1, (s.frobenius + 1) // 2)
+    # delta(S) \ {0} as a mask
+    return _delta_bits(s) & ~1
 
 
 def _delta_closure_bits(s):

@@ -9,7 +9,6 @@ import pytest
 
 import numsgps.oracle
 from numsgps import (
-    NATURALS,
     BoundExceeded,
     ORACLE_MAX_FROBENIUS,
     all_with_frobenius,
@@ -19,7 +18,7 @@ from numsgps import (
     crosscheck,
     pseudo_frobenius,
 )
-from numsgps.oracle import _MemberTable, _tbl_mask, _tbl_maximal, _tbl_second_kind
+from numsgps.oracle import _MemberTable, _tbl_mask, _tbl_maximal
 from support import plant_flipped_flag, sg
 
 # how many numerical semigroups exist per Frobenius number
@@ -115,12 +114,6 @@ def test_brute_l_golden():
     assert brute_l(sg(3, 5, 7)) == 1
     assert brute_l(sg(3, 13, 17)) == 3
     assert brute_l(sg(5, 14, 16, 17, 18)) == 8
-
-
-def test_brute_l_counts_the_second_kind_list():
-    # the one-pass count against the oracle's own list of second-kind gaps
-    for s in (NATURALS, *(s for f in range(1, 19) for s in all_with_frobenius(f))):
-        assert brute_l(s) == len(_tbl_second_kind(_MemberTable.of(s)))
 
 
 def test_brute_pf_golden():
