@@ -3,10 +3,13 @@
 Nothing here calls the analytics of the other modules.  Each semigroup
 is re-read into a minimal member table (a frozenset of the members up to
 its Frobenius number) and every quantity is recomputed straight from its
-definition: l by scanning gaps, PF by testing all shifts, msg by
-subtracting members, delta and theta by direct closure sieves,
-irreducibility by maximality among all semigroups sharing the Frobenius
-number, URSY/URPSY by trying every gap as the filled-in element.
+definition: l by reading the table's digits forwards and backwards (x
+is a second-kind gap when x and F - x are both outside it; brute_l
+reads the digits of the semigroup's own bit table), PF by testing
+all shifts, msg by subtracting members, delta and theta by direct
+closure sieves, irreducibility by maximality among all semigroups
+sharing the Frobenius number, URSY/URPSY by trying every gap as the
+filled-in element.
 
 Maximality is decided maximal-first: the population is visited by
 member count, largest first, and S is maximal exactly when no maximal
@@ -124,16 +127,33 @@ def _tbl_first_kind(t):
     return sorted(f - s for s in _tbl_small(t))
 
 
+def _tbl_mask(t):
+    # the members in [0, F] as one int: within one F, a is contained in b
+    # exactly when a & ~b == 0
+    return sum(1 << m for m in t.members)
+
+
+def _second_kind_mask(f, members):
+    # the second-kind gaps as a mask: the x in [0, F] with x and F - x
+    # both outside members, the int of a table's members in [0, F] (bit
+    # F + 1 may be set).  For x >= 1, F - x < F, so F - x outside the
+    # table is F - x no small element; x = 0 is a member.  Digit i of the
+    # F + 1 binary digits read forwards is bit F - i, so read backwards
+    # they put bit F - x at bit x.
+    if f < 0:
+        return 0
+    forwards = bin(members | 1 << (f + 1))[3:]
+    mirrored = int(forwards[::-1], 2)
+    return ~(members | mirrored) & ((1 << (f + 1)) - 1)
+
+
 def _tbl_second_kind(t):
-    # the gaps x in [1, F] with F - x no small element; F - x < F, so
-    # that is F - x outside the table
-    f = t.frobenius
-    members = t.members
-    return [x for x in range(1, f + 1) if x not in members and f - x not in members]
+    mask = _second_kind_mask(t.frobenius, _tbl_mask(t))
+    return [x for x in range(1, t.frobenius + 1) if mask >> x & 1]
 
 
 def _tbl_l(t):
-    return len(_tbl_second_kind(t))
+    return _second_kind_mask(t.frobenius, _tbl_mask(t)).bit_count()
 
 
 def _tbl_h(t):
@@ -192,12 +212,6 @@ def _tbl_theta_members(t):
 def _tbl_theta_surplus(t):
     reach = _tbl_theta_members(t)
     return len([m for m in t.members if 0 < m < t.frobenius and m not in reach])
-
-
-def _tbl_mask(t):
-    # the members in [0, F] as one int: within one F, a is contained in b
-    # exactly when a & ~b == 0
-    return sum(1 << m for m in t.members)
 
 
 def _tbl_maximal(masks):
@@ -306,7 +320,7 @@ def all_with_frobenius(frobenius: int):
 
 def brute_l(s: NumericalSemigroup) -> int:
     """l(S) straight from the definition of second-kind gaps."""
-    return _tbl_l(_MemberTable.of(s))
+    return _second_kind_mask(s.frobenius, s.bits).bit_count()
 
 
 def brute_pf(s: NumericalSemigroup):

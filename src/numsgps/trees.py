@@ -61,7 +61,11 @@ breadth-first order: the walk reaches nodes in lexicographic order of
 their label paths, and a breadth-first walk lists each level in that
 order too (by induction, it lists a level by parent position, then by
 label).  Both child rules read F off the node, since every node of
-either tree shares its root's F.
+either tree shares its root's F.  The walker's nodes need not be
+semigroups: a slice walk's nodes are bare bit tables, because every node
+of [theta(I), I] also shares delta(I) (only elements above F/2 are ever
+removed), so the walk reads F and delta(I) once off I and builds a
+semigroup only for each node it yields.
 
 Level order.  Each slice of an interval tree comes out of the walk
 already in canonical order (ascending canonical key), so nothing sorts
@@ -199,17 +203,22 @@ def _delta_closure_bits(s):
     return _closure_bits(_lowest_first(_small_members(s)), s.frobenius)
 
 
-def _upper_generators(s):
-    # U(S) = msg(S) n (F/2, F) as a mask (see the module docstring), the
-    # one source of both trees' children
-    f = s.frobenius
+def _upper_mask(bits, f, small):
+    # U(S) = msg(S) n (F/2, F) as a mask (see the module docstring), for
+    # the table bits of S, F = f and small the elements of delta(S) \ {0}:
+    # the one place both trees' children are decided
     if f < 3:
         return 0  # (F/2, F) holds no integer
-    members = s.bits & ~1
+    members = bits & ~1
     sums = 0
-    for d in _lowest_first(_small_members(s)):
+    for d in small:
         sums |= members << d
     return members & ~sums & _bit_range(f // 2 + 1, f)
+
+
+def _upper_generators(s):
+    # U(S) of a semigroup
+    return _upper_mask(s.bits, s.frobenius, _lowest_first(_small_members(s)))
 
 
 def _above(mask, x):
@@ -267,20 +276,28 @@ def interval_children(parent, edge_label):
     built here without checking x again.
     """
     f = parent.frobenius
-    bits = parent.bits
-    labels = _above(_upper_generators(parent), edge_label)
-    return tuple(
-        (NumericalSemigroup(f, bits & ~(1 << x)), x) for x in _lowest_first(labels)
-    )
+    small = _lowest_first(_small_members(parent))
+    children = _table_children(parent.bits, edge_label, f, small)
+    return tuple((NumericalSemigroup(f, bits), x) for bits, x in children)
+
+
+def _table_children(bits, label, f, small):
+    # interval_children on bare tables, small the elements of
+    # delta(S) \ {0}: every node of [theta(I), I] shares F and delta(I),
+    # so a slice walk passes in both, read once off its root, and builds
+    # no semigroup for the nodes it expands
+    for x in _lowest_first(_above(_upper_mask(bits, f, small), label)):
+        yield bits ^ (1 << x), x
 
 
 def _dfs(root, expand, depth=None, budget=None):
     # (depth, parent, node, label) in depth-first preorder, children by
     # ascending label (parent None and label -1 at the root);
-    # expand(node, label) -> (child, label) pairs.  Nodes at depth are
-    # not expanded, and each node is charged to budget as it is produced,
-    # so an overrun stops the walk at once.  stack[i] holds a depth-i
-    # node and the iterator over its children.
+    # expand(node, label) -> (child, label) pairs, where a node is a
+    # semigroup or a bare table, whatever expand takes.  Nodes at depth
+    # are not expanded, and each node is charged to budget as it is
+    # produced, so an overrun stops the walk at once.  stack[i] holds a
+    # depth-i node and the iterator over its children.
     if budget is not None:
         budget.charge()
     yield 0, None, root, -1
@@ -334,13 +351,18 @@ def iter_interval_level(root, depth):
 
     Nodes come out in canonical order by construction (see the module
     docstring).  The walk is depth-first, so no level is ever held
-    whole.  It expands every node above the slice, and yields nothing
-    once depth exceeds #(I \\ theta(I)).  Raises ValueError for a
-    negative depth and NotIrreducible for a reducible root, at the call.
+    whole, and it runs on bare tables, so only the nodes it yields
+    become semigroups.  It expands every node above the slice, and
+    yields nothing once depth exceeds #(I \\ theta(I)).  Raises
+    ValueError for a negative depth and NotIrreducible for a reducible
+    root, at the call.
     """
     _check_slice(root, depth)
-    walk = _dfs(root, interval_children, depth)
-    return (sg for n, _, sg, _ in walk if n == depth)
+    f = root.frobenius
+    small = tuple(_lowest_first(_small_members(root)))
+    expand = lambda bits, label: _table_children(bits, label, f, small)
+    walk = _dfs(root.bits, expand, depth)
+    return (NumericalSemigroup(f, bits) for n, _, bits, _ in walk if n == depth)
 
 
 def interval_level(root, depth, budget=None):

@@ -9,6 +9,7 @@ import pytest
 
 import numsgps.oracle
 from numsgps import (
+    NATURALS,
     BoundExceeded,
     ORACLE_MAX_FROBENIUS,
     all_with_frobenius,
@@ -114,6 +115,17 @@ def test_brute_l_golden():
     assert brute_l(sg(3, 5, 7)) == 1
     assert brute_l(sg(3, 13, 17)) == 3
     assert brute_l(sg(5, 14, 16, 17, 18)) == 8
+
+
+def test_brute_l_is_the_count_of_second_kind_gaps():
+    # the gaps x with F - x no small element, counted one x at a time on
+    # every S with F <= 18 and on N; test_properties checks the same
+    # count on wide semigroups
+    assert brute_l(NATURALS) == 0
+    for f in range(1, 19):
+        for s in all_with_frobenius(f):
+            count = sum(1 for x in range(1, f + 1) if x not in s and f - x not in s)
+            assert brute_l(s) == count
 
 
 def test_brute_pf_golden():

@@ -14,7 +14,9 @@ from numsgps import (
     brute_msg,
     brute_pf,
     canonical_irreducible,
+    interval_level_counts,
     irreducible_children,
+    iter_interval_level,
     pseudo_frobenius,
     theta,
 )
@@ -264,6 +266,26 @@ def test_interval_is_the_down_sets_of_the_removable_part(f, seed):
         assert down
         assert brute_l(s) == brute_l(root) + 2 * len(seeds)
         assert theta(s) == low
+
+
+@given(
+    st.integers(min_value=60, max_value=399),
+    st.integers(min_value=0),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(deadline=None, derandomize=True)
+def test_slice_walk_matches_the_down_set_counts(f, seed, depth):
+    # the walk on bare tables against the down-set counter, which walks
+    # nothing; levels too wide to walk quickly (C(F) alone has about F/4
+    # nodes at depth 1) are left to the counter
+    root = _walk_down_irreducibles(f, random.Random(seed))
+    counts = interval_level_counts(root, depth)
+    for n in range(depth + 1):
+        if sum(counts[: n + 1]) > 3000:
+            break
+        keys = [s.canonical_key for s in iter_interval_level(root, n)]
+        assert len(keys) == counts[n]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def _first_closure_witness(members, f):

@@ -322,7 +322,7 @@ def test_interval_level_charges_every_level_above_the_slice():
 def test_walk_expands_only_the_nodes_above_the_slice(monkeypatch):
     # levels of <5,7,9,11> hold 1, 3, 4, 3, 1 nodes; past the height,
     # every node is expanded and nothing is yielded
-    expanded = count_calls(monkeypatch, numsgps.trees, "interval_children")
+    expanded = count_calls(monkeypatch, numsgps.trees, "_table_children")
     for depth, calls in ((0, 0), (1, 1), (3, 8), (4, 11), (6, 12)):
         expanded.clear()
         interval_level(sg(5, 7, 9, 11), depth)
