@@ -24,7 +24,8 @@ Roots appear in BFS discovery order, members of each group in canonical
 slice depth-first (see trees), one root at a time; Mode.COUNT_ONLY
 walks none, and takes |D(I)| from the down-set counts of
 trees.interval_level_counts.  Either way a budget is charged the nodes
-a walk of the slice expands, so both modes stop at the same group.
+a walk of the slice expands, counted before the group is built, so both
+modes stop at the same group.
 
 witness_k_semigroup produces a single example without enumeration by
 deleting the floor(K/2) largest nonzero members below F from the
@@ -33,6 +34,7 @@ every deletion stays a semigroup and each raises l by 2.
 """
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from ._util import WorkBudget, map_ordered
@@ -80,9 +82,11 @@ def feasible(k: int, frobenius: int) -> bool:
 
 
 def _validate(req: EnumerationRequest):
-    if req.k < 0:
+    # a non-integer would be silently reinterpreted further on
+    operator.index(req.frobenius)
+    if operator.index(req.k) < 0:
         raise ValueError("k must be >= 0, got %d" % req.k)
-    if req.max_work is not None and req.max_work < 0:
+    if req.max_work is not None and operator.index(req.max_work) < 0:
         raise ValueError("max_work must be >= 0, got %d" % req.max_work)
 
 
@@ -95,14 +99,17 @@ def _roots(req: EnumerationRequest):
     full = req.mode is Mode.FULL
 
     def group(root):
+        # the one place a group is charged: the nodes a walk of its slice
+        # expands, counted before anything is built, so an overrun stops
+        # between groups and costs no walk.  Roots of the irreducible
+        # tree need no irreducibility check.
+        if budget is not None or not full:
+            counts = _level_counts(root, half)
+            if budget is not None:
+                budget.charge(sum(counts[:half]))
         if full:
-            members = interval_level(root, half, budget=budget)
+            members = interval_level(root, half)
             return EnumerationGroup(root, members, len(members))
-        # roots of the irreducible tree need no irreducibility check; the
-        # budget takes the units a walk of the slice would be charged
-        counts = _level_counts(root, half)
-        if budget is not None:
-            budget.charge(sum(counts[:half]))
         return EnumerationGroup(root, None, counts[half])
 
     return [node.semigroup for node in tree.nodes], group
@@ -152,9 +159,11 @@ def witness_k_semigroup(k: int, frobenius: int):
     Starting from C(F), delete the floor(k/2) largest nonzero members
     below F.  Each is above F/2, so closure never breaks, and l grows by
     2 per deletion from l(C(F)) in {0, 1}; the parity gate makes the
-    total come out to exactly k.  Raises ValueError for a negative k.
+    total come out to exactly k.  Raises ValueError for a negative k,
+    and TypeError when k or frobenius is not an integer.
     """
-    if k < 0:
+    operator.index(frobenius)
+    if operator.index(k) < 0:
         raise ValueError("k must be >= 0, got %d" % k)
     if not feasible(k, frobenius):
         return None

@@ -101,6 +101,7 @@ P(I), so x is a generator.
 """
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -251,8 +252,10 @@ def theta_surplus(s: NumericalSemigroup) -> int:
 def canonical_irreducible(frobenius: int) -> NumericalSemigroup:
     """C(F), the irreducible semigroup with multiplicity above F/2.
 
-    Raises BoundExceeded when F + 2 > core.MAX_CLOSURE_WINDOW.
+    Raises BoundExceeded when F + 2 > core.MAX_CLOSURE_WINDOW, and
+    TypeError when frobenius is not an integer.
     """
+    frobenius = operator.index(frobenius)
     if frobenius < 1:
         raise ValueError("frobenius must be >= 1, got %d" % frobenius)
     _check_table_size(frobenius)
@@ -335,7 +338,7 @@ def _check_irreducible(root):
 
 
 def _check_slice(root, depth):
-    if depth < 0:
+    if operator.index(depth) < 0:
         raise ValueError("depth must be >= 0, got %d" % depth)
     _check_irreducible(root)
 
@@ -355,7 +358,7 @@ def iter_interval_level(root, depth):
     become semigroups.  It expands every node above the slice, and
     yields nothing once depth exceeds #(I \\ theta(I)).  Raises
     ValueError for a negative depth and NotIrreducible for a reducible
-    root, at the call.
+    root, at the call, and TypeError for a depth that is not an integer.
     """
     _check_slice(root, depth)
     f = root.frobenius
@@ -365,17 +368,12 @@ def iter_interval_level(root, depth):
     return (NumericalSemigroup(f, bits) for n, _, bits, _ in walk if n == depth)
 
 
-def interval_level(root, depth, budget=None):
+def interval_level(root, depth):
     """The depth-n slice of the interval tree, as a tuple in canonical
     order (see iter_interval_level).
 
-    The result is empty once depth exceeds #(I \\ theta(I)).  budget,
-    when given, is charged one unit per node above the slice, the nodes
-    a walk expands, before anything is walked.
+    The result is empty once depth exceeds #(I \\ theta(I)).
     """
-    _check_slice(root, depth)
-    if budget is not None:
-        budget.charge(sum(_level_counts(root, depth)[:depth]))
     return tuple(iter_interval_level(root, depth))
 
 
@@ -386,8 +384,8 @@ def interval_level_counts(root, depth):
     The depth-n nodes are I \\ B for the n-element down-sets B of P(I)
     under a <= b iff b - a in delta(I) (see the module docstring), so
     the sizes are those down-set counts.  Levels past the height count
-    0.  Raises ValueError for a negative depth and NotIrreducible for a
-    reducible root.
+    0.  Raises ValueError for a negative depth, NotIrreducible for a
+    reducible root and TypeError for a depth that is not an integer.
     """
     _check_slice(root, depth)
     return _level_counts(root, depth)
@@ -540,13 +538,12 @@ def irreducible_tree(
     together with their subtrees; the strict decrease of theta_surplus
     along edges makes that lossless for any consumer that only wants
     nodes with theta_surplus >= t.  Every theta_surplus is >= 0, so t = 0
-    and None drop nothing and test nothing.  A negative t raises ValueError.
+    and None drop nothing and test nothing.  A negative t raises
+    ValueError, and a frobenius or t that is not an integer TypeError.
     """
-    if frobenius < 1:
-        raise ValueError("frobenius must be >= 1, got %d" % frobenius)
-    if prune_threshold is not None and prune_threshold < 0:
-        raise ValueError("prune_threshold must be >= 0, got %d" % prune_threshold)
     root = canonical_irreducible(frobenius)
+    if prune_threshold is not None and operator.index(prune_threshold) < 0:
+        raise ValueError("prune_threshold must be >= 0, got %d" % prune_threshold)
     t = prune_threshold or 0
     kept = lambda sg: not t or theta_surplus(sg) >= t
     # lazy, so that a budget overrun stops the surplus tests with it

@@ -11,6 +11,8 @@ from numsgps import (
     Mode,
     enumerate_k_semigroups,
     feasible,
+    interval_tree,
+    irreducible_tree,
     iter_k_semigroups,
     witness_k_semigroup,
 )
@@ -226,6 +228,50 @@ def test_count_mode_charges_what_a_walk_would():
         assert enumerate_k_semigroups(req).total
         with pytest.raises(BudgetExceeded):
             enumerate_k_semigroups(dataclasses.replace(req, max_work=work - 1))
+
+
+def test_budget_boundary_in_both_modes():
+    # W = the pruned irreducible tree plus, per root, the interval-tree
+    # nodes above the slice, counted by walking the trees
+    cases = 0
+    for f in range(1, 22):
+        for k in range(f):
+            if not feasible(k, f):
+                continue
+            cases += 1
+            half = k // 2
+            roots = irreducible_tree(f, half).semigroups()
+            work = len(roots) + sum(
+                1 for root in roots for n in interval_tree(root).nodes if n.depth < half
+            )
+            for mode in Mode:
+                req = EnumerationRequest(k, f, mode, max_work=work)
+                assert enumerate_k_semigroups(req).total, (k, f, mode)
+                with pytest.raises(BudgetExceeded):
+                    enumerate_k_semigroups(dataclasses.replace(req, max_work=work - 1))
+    assert cases == 121
+
+
+def test_requests_refuse_non_integers():
+    # each was silently reinterpreted, or failed inside the walk
+    bad = (
+        EnumerationRequest(3.5, 6),
+        EnumerationRequest("x", 5),
+        EnumerationRequest(6, 11.0),
+        EnumerationRequest(6, 11, max_work=30.5),
+    )
+    for req in bad:
+        for run in (enumerate_k_semigroups, iter_k_semigroups):
+            with pytest.raises(TypeError):
+                run(req)
+    as_bool = enumerate_k_semigroups(EnumerationRequest(True, 4))
+    assert as_bool == enumerate_k_semigroups(EnumerationRequest(1, 4))
+
+
+def test_witness_refuses_non_integers():
+    for k, f in ((3.5, 6), (6, 11.0), ("6", 11)):
+        with pytest.raises(TypeError):
+            witness_k_semigroup(k, f)
 
 
 def test_negative_budget_is_rejected():

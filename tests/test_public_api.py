@@ -149,7 +149,7 @@ SIGNATURES = {
     "feasible": (("k", NO_DEFAULT), ("frobenius", NO_DEFAULT)),
     "in_family_u": (("s", NO_DEFAULT),),
     "interval_children": (("parent", NO_DEFAULT), ("edge_label", NO_DEFAULT)),
-    "interval_level": (("root", NO_DEFAULT), ("depth", NO_DEFAULT), ("budget", None)),
+    "interval_level": (("root", NO_DEFAULT), ("depth", NO_DEFAULT)),
     "interval_level_counts": (("root", NO_DEFAULT), ("depth", NO_DEFAULT)),
     "interval_tree": (("root", NO_DEFAULT),),
     "irreducible_children": (("s", NO_DEFAULT),),

@@ -148,6 +148,12 @@ def test_canonical_irreducible_rejects_low():
         canonical_irreducible(0)
 
 
+def test_canonical_irreducible_refuses_a_non_integer():
+    for frobenius in (11.0, 11.5, "11"):
+        with pytest.raises(TypeError):
+            canonical_irreducible(frobenius)
+
+
 # ----------------------------------------------------------------------
 # relative position
 
@@ -305,20 +311,6 @@ def test_level_one_counts_the_child_mask():
             assert interval_level_counts(root, 1)[1] == count
 
 
-def test_interval_level_budget():
-    with pytest.raises(BudgetExceeded):
-        interval_level(sg(5, 7, 9, 11), 4, budget=WorkBudget(3))
-
-
-def test_interval_level_charges_every_level_above_the_slice():
-    # levels of <5,7,9,11> hold 1, 3, 4, 3, 1 nodes; the slice itself is
-    # not expanded, and past the height every node is
-    for depth, used in ((0, 0), (3, 8), (4, 11), (6, 12)):
-        budget = WorkBudget(None)
-        interval_level(sg(5, 7, 9, 11), depth, budget=budget)
-        assert budget.used == used
-
-
 def test_walk_expands_only_the_nodes_above_the_slice(monkeypatch):
     # levels of <5,7,9,11> hold 1, 3, 4, 3, 1 nodes; past the height,
     # every node is expanded and nothing is yielded
@@ -332,6 +324,16 @@ def test_walk_expands_only_the_nodes_above_the_slice(monkeypatch):
 def test_interval_level_rejects_negative_depth():
     with pytest.raises(ValueError, match="-1"):
         interval_level(sg(5, 7, 9, 11), -1)
+
+
+def test_slices_refuse_a_non_integer_depth():
+    # a depth of 1.5 is never reached, so the walk used to yield nothing
+    root = sg(5, 7, 9, 11)
+    for depth in (1.5, "1"):
+        for slice_of in (iter_interval_level, interval_level, interval_level_counts):
+            with pytest.raises(TypeError):
+                slice_of(root, depth)
+    assert interval_level(root, True) == interval_level(root, 1)
 
 
 def test_walk_lists_each_level_of_the_tree():
@@ -452,6 +454,14 @@ def test_threshold_zero_computes_no_surplus(monkeypatch):
 def test_irreducible_tree_rejects_negative_threshold():
     with pytest.raises(ValueError, match="-2"):
         irreducible_tree(3, prune_threshold=-2)
+
+
+def test_irreducible_tree_refuses_a_non_integer():
+    # a threshold of 1.5 used to act as t = 2
+    for args in ((11, 1.5), (11, "1"), (11.0, None), ("11", 1)):
+        with pytest.raises(TypeError):
+            irreducible_tree(*args)
+    assert irreducible_tree(11, True) == irreducible_tree(11, 1)
 
 
 def test_irreducible_tree_rejects_low_frobenius():
