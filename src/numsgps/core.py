@@ -56,6 +56,14 @@ def _check_table_size(frobenius):
         raise BoundExceeded(frobenius + 2, MAX_CLOSURE_WINDOW, "bit table F + 2 =")
 
 
+def _at_least(name, value, low):
+    # value as an int; TypeError unless an integer, ValueError below low
+    value = operator.index(value)
+    if value < low:
+        raise ValueError("%s must be >= %d, got %d" % (name, low, value))
+    return value
+
+
 def _bit_range(lo, hi):
     # mask with bits [lo, hi) set
     return ((1 << hi) - 1) ^ ((1 << lo) - 1)

@@ -38,7 +38,7 @@ import operator
 from dataclasses import dataclass
 
 from ._util import WorkBudget, map_ordered
-from .core import NumericalSemigroup, _bit_range
+from .core import NumericalSemigroup, _at_least, _bit_range
 from .trees import (
     canonical_irreducible,
     _level_counts,
@@ -77,17 +77,19 @@ class EnumerationResult:
 
 
 def feasible(k: int, frobenius: int) -> bool:
-    """Parity and size gates; no semigroup exists when either fails."""
+    """Parity and size gates; no semigroup exists when either fails.
+    Raises TypeError when k or frobenius is not an integer."""
+    k, frobenius = operator.index(k), operator.index(frobenius)
     return (k + frobenius) % 2 == 1 and frobenius >= k + 1
 
 
 def _validate(req: EnumerationRequest):
-    # a non-integer would be silently reinterpreted further on
-    operator.index(req.frobenius)
-    if operator.index(req.k) < 0:
-        raise ValueError("k must be >= 0, got %d" % req.k)
-    if req.max_work is not None and operator.index(req.max_work) < 0:
-        raise ValueError("max_work must be >= 0, got %d" % req.max_work)
+    # a non-integer, or a mode given by its value, would be misread later
+    _at_least("k", req.k, 0)
+    if req.max_work is not None:
+        _at_least("max_work", req.max_work, 0)
+    if not isinstance(req.mode, Mode):
+        raise TypeError("mode must be a Mode, got %r" % (req.mode,))
 
 
 def _roots(req: EnumerationRequest):
@@ -122,9 +124,10 @@ def iter_k_semigroups(req: EnumerationRequest):
     The request is validated, and the pruned irreducible tree walked,
     when this is called; the slices are built or counted one per next().
     An infeasible request yields nothing.  Raises ValueError for a
-    negative k or max_work, and BudgetExceeded, at the call or at a
-    next(), once more than req.max_work nodes have been expanded; the
-    groups yielded before it are whole.
+    negative k or max_work, TypeError for a non-integer k, frobenius or
+    max_work or a mode that is not a Mode, and BudgetExceeded, at the
+    call or at a next(), once more than req.max_work nodes have been
+    expanded; the groups yielded before it are whole.
     """
     _validate(req)
     if not feasible(req.k, req.frobenius):
@@ -138,14 +141,13 @@ def enumerate_k_semigroups(req: EnumerationRequest, threads=1) -> EnumerationRes
 
     Raises BudgetExceeded when more than req.max_work nodes get expanded
     across the pruned irreducible tree and the interval levels combined,
-    counting the nodes a walk would expand in count mode too;
-    partial results are discarded, not returned.  Raises ValueError for
-    a negative k or max_work, or for threads < 1.  threads is accepted
-    for compatibility and selects nothing: the run is always sequential.
+    counting the nodes a walk would expand in count mode too; partial
+    results are discarded, not returned.  Raises ValueError and
+    TypeError as iter_k_semigroups does, or for threads not an integer
+    >= 1; threads is kept for compatibility, and runs stay sequential.
     """
     _validate(req)
-    if threads < 1:
-        raise ValueError("threads must be >= 1, got %d" % threads)
+    threads = _at_least("threads", threads, 1)
     if not feasible(req.k, req.frobenius):
         return EnumerationResult(False, (), 0)
     roots, group = _roots(req)
@@ -162,15 +164,13 @@ def witness_k_semigroup(k: int, frobenius: int):
     total come out to exactly k.  Raises ValueError for a negative k,
     and TypeError when k or frobenius is not an integer.
     """
-    operator.index(frobenius)
-    if operator.index(k) < 0:
-        raise ValueError("k must be >= 0, got %d" % k)
+    k = _at_least("k", k, 0)
     if not feasible(k, frobenius):
         return None
     # C(F) holds all of (F/2, F), and feasibility keeps k // 2 within it
-    bits = canonical_irreducible(frobenius).bits
-    bits &= ~_bit_range(frobenius - k // 2, frobenius)
-    witness = NumericalSemigroup(frobenius, bits)
+    c = canonical_irreducible(frobenius)  # its F is an int, even for True
+    bits = c.bits & ~_bit_range(c.frobenius - k // 2, c.frobenius)
+    witness = NumericalSemigroup(c.frobenius, bits)
     if witness.gap_profile.l_count != k:
         raise AssertionError("witness for K=%d F=%d must have l = K" % (k, frobenius))
     return witness

@@ -41,7 +41,7 @@ reproduce by hand.
 from dataclasses import dataclass
 
 from .classify import classify, pf_fast_2sg, pf_fast_3sg, pseudo_frobenius
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _at_least
 from .enumeration import EnumerationRequest, enumerate_k_semigroups
 from .errors import BoundExceeded
 from .trees import interval_tree, irreducible_tree, relative_frobenius, theta_surplus
@@ -264,13 +264,12 @@ def all_with_frobenius(frobenius: int):
     """Every numerical semigroup with the given Frobenius number.
 
     Canonically sorted (lexicographically by gap list).  Guarded by
-    ORACLE_MAX_FROBENIUS because the search space is 2**(f-1).
+    ORACLE_MAX_FROBENIUS because the search space is 2**(f-1).  Raises
+    ValueError for f < 1 and TypeError for a non-integer f.
     """
-    if frobenius < 1:
-        raise ValueError("frobenius must be >= 1, got %d" % frobenius)
-    if frobenius > ORACLE_MAX_FROBENIUS:
-        raise BoundExceeded(frobenius, ORACLE_MAX_FROBENIUS)
-    f = frobenius
+    f = _at_least("frobenius", frobenius, 1)
+    if f > ORACLE_MAX_FROBENIUS:
+        raise BoundExceeded(f, ORACLE_MAX_FROBENIUS)
     status = [None] * (f + 1)
     status[0] = True
     status[f] = False
@@ -340,10 +339,10 @@ def brute_msg(s: NumericalSemigroup):
 def crosscheck(f_max: int):
     """Compare every fast path against brute recomputation for F <= f_max.
 
-    Returns all mismatches (expected: an empty list).
+    Returns all mismatches (expected: an empty list).  Raises
+    ValueError for f_max < 1 and TypeError for a non-integer f_max.
     """
-    if f_max < 1:
-        raise ValueError("f_max must be >= 1, got %d" % f_max)
+    f_max = _at_least("f_max", f_max, 1)
     if f_max > ORACLE_MAX_FROBENIUS:
         raise BoundExceeded(f_max, ORACLE_MAX_FROBENIUS)
     reports = []

@@ -106,6 +106,7 @@ from dataclasses import dataclass
 
 from .core import (
     NumericalSemigroup,
+    _at_least,
     _bit_range,
     _check_table_size,
     _closure_bits,
@@ -252,12 +253,10 @@ def theta_surplus(s: NumericalSemigroup) -> int:
 def canonical_irreducible(frobenius: int) -> NumericalSemigroup:
     """C(F), the irreducible semigroup with multiplicity above F/2.
 
-    Raises BoundExceeded when F + 2 > core.MAX_CLOSURE_WINDOW, and
-    TypeError when frobenius is not an integer.
+    Raises ValueError for F < 1, BoundExceeded for F + 2 >
+    core.MAX_CLOSURE_WINDOW and TypeError for a non-integer F.
     """
-    frobenius = operator.index(frobenius)
-    if frobenius < 1:
-        raise ValueError("frobenius must be >= 1, got %d" % frobenius)
+    frobenius = _at_least("frobenius", frobenius, 1)
     _check_table_size(frobenius)
     lo = (frobenius + 1) // 2 if frobenius % 2 else frobenius // 2 + 1
     bits = 1 | _bit_range(lo, frobenius + 2)
@@ -272,15 +271,15 @@ def canonical_irreducible(frobenius: int) -> NumericalSemigroup:
 def interval_children(parent, edge_label):
     """Children of a node in an interval tree, as (child, label) pairs.
 
-    edge_label is the label on the edge into parent (h(parent); -1 at
-    the root).  The labels are the elements x > edge_label of the child
-    mask U(parent) (see the module docstring), ascending.  Each is a
-    minimal generator below F, so the child is parent.remove_element(x),
-    built here without checking x again.
+    edge_label, an integer (else TypeError), labels the edge into parent
+    (h(parent); -1 at the root).  The labels are the elements x >
+    edge_label of the child mask U(parent) (see the module docstring),
+    ascending.  Each is a minimal generator below F, so the child is
+    parent.remove_element(x), built here without checking x again.
     """
     f = parent.frobenius
     small = _lowest_first(_small_members(parent))
-    children = _table_children(parent.bits, edge_label, f, small)
+    children = _table_children(parent.bits, operator.index(edge_label), f, small)
     return tuple((NumericalSemigroup(f, bits), x) for bits, x in children)
 
 
@@ -338,9 +337,9 @@ def _check_irreducible(root):
 
 
 def _check_slice(root, depth):
-    if operator.index(depth) < 0:
-        raise ValueError("depth must be >= 0, got %d" % depth)
+    depth = _at_least("depth", depth, 0)
     _check_irreducible(root)
+    return depth
 
 
 def interval_tree(root: NumericalSemigroup) -> SemigroupTree:
@@ -360,7 +359,7 @@ def iter_interval_level(root, depth):
     ValueError for a negative depth and NotIrreducible for a reducible
     root, at the call, and TypeError for a depth that is not an integer.
     """
-    _check_slice(root, depth)
+    depth = _check_slice(root, depth)
     f = root.frobenius
     small = tuple(_lowest_first(_small_members(root)))
     expand = lambda bits, label: _table_children(bits, label, f, small)
@@ -387,8 +386,7 @@ def interval_level_counts(root, depth):
     0.  Raises ValueError for a negative depth, NotIrreducible for a
     reducible root and TypeError for a depth that is not an integer.
     """
-    _check_slice(root, depth)
-    return _level_counts(root, depth)
+    return _level_counts(root, _check_slice(root, depth))
 
 
 def _level_counts(root, depth):
@@ -410,10 +408,11 @@ def _level_counts(root, depth):
 def _down_set_counts(p, small, depth):
     # counts of the down-sets of p with 0..depth elements, where bit b of
     # p lies above bit a when b - a is set in small.  Memoized on the
-    # remaining mask without recursion: a disconnected mask multiplies
-    # its parts, and its isolated elements give a binomial; a connected
-    # one splits on its lowest element x, which is minimal, as (down-sets
-    # of m without up(x)) + t (down-sets of m without x)
+    # remaining mask without recursion: a mask is planned on its first
+    # visit and waits on the stack under its parts.  A disconnected mask
+    # multiplies its parts, and its isolated elements give a binomial; a
+    # connected one splits on its lowest element x, which is minimal, as
+    # (down-sets of m without up(x)) + t (down-sets of m without x)
     steps = small | 1  # the differences a <= b allows, 0 included
     width = steps.bit_length()
     back = _mirror(steps, width)  # bit width - d for each step d
@@ -425,21 +424,15 @@ def _down_set_counts(p, small, depth):
     links = {x: below[x] | (p & (steps << x)) for x in xs}  # comparables
     size = depth + 1
     memo = {0: [1] + [0] * depth}
-    plans = {}
-    stack = [p]
+    stack = [(p, None)]
     while stack:
-        m = stack[-1]
-        if m in memo:
-            stack.pop()
-            continue
-        plan = plans.get(m)
+        m, plan = stack.pop()
         if plan is None:
-            plan = plans[m] = _plan(m, links, steps)
-        missing = [part for part in plan[1] if part not in memo]
-        if missing:
-            stack += missing
+            if m not in memo:
+                plan = _plan(m, links, steps)
+                stack.append((m, plan))
+                stack += ((part, None) for part in plan[1])
             continue
-        stack.pop()
         kind, parts, isolated = plan
         if kind == "branch":
             without, rest = (memo[part] for part in parts)
@@ -542,9 +535,8 @@ def irreducible_tree(
     ValueError, and a frobenius or t that is not an integer TypeError.
     """
     root = canonical_irreducible(frobenius)
-    if prune_threshold is not None and operator.index(prune_threshold) < 0:
-        raise ValueError("prune_threshold must be >= 0, got %d" % prune_threshold)
-    t = prune_threshold or 0
+    t = prune_threshold
+    t = 0 if t is None else _at_least("prune_threshold", t, 0)
     kept = lambda sg: not t or theta_surplus(sg) >= t
     # lazy, so that a budget overrun stops the surplus tests with it
     expand = lambda sg, label: (c for c in _irreducible_children(sg) if kept(c[0]))

@@ -268,10 +268,21 @@ def test_requests_refuse_non_integers():
     assert as_bool == enumerate_k_semigroups(EnumerationRequest(1, 4))
 
 
+def test_requests_refuse_a_mode_given_by_its_value():
+    # mode="full" used to run count mode: members None, total 12
+    for mode in ("full", "count-only", None):
+        req = EnumerationRequest(6, 11, mode=mode)
+        for run in (enumerate_k_semigroups, iter_k_semigroups):
+            with pytest.raises(TypeError, match="mode must be a Mode, got "):
+                run(req)
+
+
 def test_witness_refuses_non_integers():
     for k, f in ((3.5, 6), (6, 11.0), ("6", 11)):
         with pytest.raises(TypeError):
             witness_k_semigroup(k, f)
+    # a bool counts as 0 or 1, and the witness holds the int
+    assert type(witness_k_semigroup(0, True).frobenius) is int
 
 
 def test_negative_budget_is_rejected():

@@ -1,4 +1,5 @@
-"""The public contract: numsgps.__all__ and the call signatures behind it.
+"""The public contract: numsgps.__all__, the call signatures behind it,
+and the one gate every integer argument passes.
 
 A change to any name, parameter or default here changes what callers
 may rely on; it must edit this file and be recorded in CHANGES.md.
@@ -9,6 +10,9 @@ of the error base class, which print differently across Python versions.
 from __future__ import annotations
 
 import inspect
+from collections.abc import Iterator
+
+import pytest
 
 import numsgps
 from numsgps import Mode, TreeKind
@@ -205,3 +209,61 @@ def test_constants_and_enum_members():
         ("INTERVAL", "interval"),
         ("IRREDUCIBLE", "irreducible"),
     ]
+
+
+C11 = numsgps.canonical_irreducible(11)
+Request = numsgps.EnumerationRequest
+
+# (entry point, parameter, minimum or None, call with the argument in
+# place); the other arguments are valid and cheap
+GATES = [
+    ("enumerate_k_semigroups", "k", 0,
+     lambda v: numsgps.enumerate_k_semigroups(Request(v, 4))),
+    ("iter_k_semigroups", "k", 0,
+     lambda v: numsgps.iter_k_semigroups(Request(v, 4))),
+    ("enumerate_k_semigroups", "max_work", 0,
+     lambda v: numsgps.enumerate_k_semigroups(Request(0, 3, max_work=v))),
+    ("iter_k_semigroups", "max_work", 0,
+     lambda v: numsgps.iter_k_semigroups(Request(0, 3, max_work=v))),
+    ("enumerate_k_semigroups", "threads", 1,
+     lambda v: numsgps.enumerate_k_semigroups(Request(0, 3), threads=v)),
+    ("witness_k_semigroup", "k", 0, lambda v: numsgps.witness_k_semigroup(v, 4)),
+    ("feasible", "k", None, lambda v: numsgps.feasible(v, 4)),
+    ("feasible", "frobenius", None, lambda v: numsgps.feasible(0, v)),
+    ("canonical_irreducible", "frobenius", 1, numsgps.canonical_irreducible),
+    ("irreducible_tree", "frobenius", 1, numsgps.irreducible_tree),
+    ("all_with_frobenius", "frobenius", 1, numsgps.all_with_frobenius),
+    ("iter_interval_level", "depth", 0,
+     lambda v: numsgps.iter_interval_level(C11, v)),
+    ("interval_level", "depth", 0, lambda v: numsgps.interval_level(C11, v)),
+    ("interval_level_counts", "depth", 0,
+     lambda v: numsgps.interval_level_counts(C11, v)),
+    ("irreducible_tree", "prune_threshold", 0,
+     lambda v: numsgps.irreducible_tree(11, prune_threshold=v)),
+    ("crosscheck", "f_max", 1, numsgps.crosscheck),
+    ("interval_children", "edge_label", None,
+     lambda v: numsgps.interval_children(C11, v)),
+]
+
+
+def _outcome(call, value):
+    # what the call returns, an iterator drawn out, or what it raises
+    try:
+        result = call(value)
+    except Exception as exc:
+        return type(exc), exc.args
+    return tuple(result) if isinstance(result, Iterator) else result
+
+
+@pytest.mark.parametrize(
+    "entry, name, low, call", GATES, ids=["%s-%s" % row[:2] for row in GATES]
+)
+def test_every_integer_argument_passes_one_gate(entry, name, low, call):
+    for bad in (1.5, "3"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(bad)
+    if low is not None:
+        with pytest.raises(ValueError) as raised:
+            call(low - 1)
+        assert raised.value.args == ("%s must be >= %d, got %d" % (name, low, low - 1),)
+    assert _outcome(call, True) == _outcome(call, 1)
