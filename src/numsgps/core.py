@@ -168,9 +168,7 @@ class NumericalSemigroup:
             raise ValueError("generators must be positive, got %d" % gens[0])
         if gens[0] == 1:
             return cls(-1, 1)
-        g = 0
-        for a in gens:
-            g = math.gcd(g, a)
+        g = math.gcd(*gens)
         if g != 1:
             raise GcdNotOne(gens, g)
         bound = 2 * gens[0] * gens[-1]
@@ -208,7 +206,11 @@ class NumericalSemigroup:
     # membership and display
 
     def contains(self, x):
-        """True when the integer x belongs to the semigroup."""
+        """True when the integer x belongs to the semigroup.
+
+        A non-integer x raises TypeError.
+        """
+        x = operator.index(x)
         if x < 0:
             return False
         if x > self.frobenius:
@@ -302,8 +304,10 @@ class NumericalSemigroup:
         """S without x; only defined when x is a minimal generator.
 
         Removing x < F keeps F and raises l by exactly 2; removing a
-        generator above F makes x the new Frobenius number.
+        generator above F makes x the new Frobenius number.  A
+        non-integer x raises TypeError.
         """
+        x = operator.index(x)
         if x not in self.minimal_generators:
             raise NotMinimalGenerator(x, self)
         f = self.frobenius

@@ -1,15 +1,15 @@
 """Definition-level ground truth for everything the fast paths compute.
 
 Nothing here calls the analytics of the other modules.  Each semigroup
-is re-read into a minimal member table (a frozenset of the members up to
-its Frobenius number) and every quantity is recomputed straight from its
-definition: l by reading the table's digits forwards and backwards (x
-is a second-kind gap when x and F - x are both outside it; brute_l
-reads the digits of the semigroup's own bit table), PF by testing
-all shifts, msg by subtracting members, delta and theta by direct
-closure sieves, irreducibility by maximality among all semigroups
-sharing the Frobenius number, URSY/URPSY by trying every gap as the
-filled-in element.
+is re-read into a minimal member table (one int, bit i set for each
+member i up to its Frobenius number) and every quantity is recomputed
+straight from its definition: l by reading the table's digits forwards
+and backwards (x is a second-kind gap when x and F - x are both outside
+it; brute_l reads the digits of the semigroup's own bit table), PF by
+testing all shifts, msg by subtracting members, delta and theta by
+direct closure sieves, irreducibility by maximality among all
+semigroups sharing the Frobenius number, URSY/URPSY by trying every gap
+as the filled-in element.
 
 Maximality is decided maximal-first: the population is visited by
 member count, largest first, and S is maximal exactly when no maximal
@@ -17,8 +17,8 @@ semigroup already found contains it.  That is still the definition, not
 a criterion: a strict superset of S has more members, so it is visited
 before S, and a non-maximal S lies inside some maximal member of the
 (finite) population, which is then already found.  The subset tests
-are on an int of each table's members, so the sweep costs
-O(n * #irreducibles) subset tests instead of O(n**2).
+are on the tables' ints, so the sweep costs O(n * #irreducibles)
+subset tests instead of O(n**2).
 
 all_with_frobenius(f) enumerates every numerical semigroup with
 Frobenius number f by deciding membership of f-1, f-2, ..., 1 in that
@@ -26,8 +26,9 @@ order (0 is in, f is out, everything above f is in), pruning any partial
 assignment that already violates additive closure.  When x is assigned
 as a member, every sum x + y with y an already-decided member (including
 y = x) is already decided, so checking those sums catches every
-violation exactly once.  The search is exponential in f, hence the hard
-guard at ORACLE_MAX_FROBENIUS.
+violation exactly once; with the decided members and gaps held as two
+masks, that check is one shift and one AND.  The search is exponential
+in f, hence the hard guard at ORACLE_MAX_FROBENIUS.
 
 crosscheck(f_max) sweeps every semigroup with Frobenius number up to
 f_max and compares all fast-path operations against the brute
@@ -73,64 +74,61 @@ class OracleReport:
 
 @dataclass(frozen=True)
 class _MemberTable:
-    """Frobenius number plus the members in [0, F]; above F all in."""
+    """Frobenius number plus the members in [0, F] as one int; above F all in."""
 
     frobenius: int
-    members: frozenset
+    mask: int
 
     @classmethod
     def of(cls, s: NumericalSemigroup):
         f = s.frobenius
-        # the table's binary digits, bit i at index i, up to F
-        digits = bin(s.bits)[:1:-1][: max(f, 0) + 1]
-        return cls(f, frozenset([i for i, c in enumerate(digits) if c == "1"]))
+        # N (F = -1) keeps its one member, 0
+        return cls(f, s.bits & _below(max(f, 0) + 1))
 
     def contains(self, x):
         if x < 0:
             return False
         if x > self.frobenius:
             return True
-        return x in self.members
+        return bool(self.mask >> x & 1)
+
+    def members(self):
+        return _positions(self.mask)
 
     def gap_list(self):
-        return [x for x in range(1, self.frobenius + 1) if x not in self.members]
+        return _positions(_below(self.frobenius + 1) & ~self.mask)
+
+
+def _below(n):
+    # the bits [0, n) of an int, n >= 0
+    return (1 << n) - 1
+
+
+def _positions(mask):
+    # the set bits of mask >= 0, ascending, read off its binary digits
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 def _tbl_closed(t: _MemberTable) -> bool:
-    f = t.frobenius
-    members = sorted(m for m in t.members if m > 0)
-    for pos, i in enumerate(members):
-        for j in members[pos:]:
-            if i + j > f:
-                break
-            if i + j not in t.members:
-                return False
-    return True
+    # every sum i + j <= F of members is a member: shifting the members
+    # by a member i puts bit i + j at each member j
+    outside = _below(t.frobenius + 1) & ~t.mask
+    return not any(t.mask << i & outside for i in t.members() if i > 0)
 
 
 def _tbl_multiplicity(t):
     if t.frobenius < 0:
         return 1
-    return min((m for m in t.members if m > 0), default=t.frobenius + 1)
+    return min((m for m in t.members() if m > 0), default=t.frobenius + 1)
 
 
 def _tbl_small(t):
-    return sorted(m for m in t.members if m < t.frobenius)
-
-
-def _tbl_gaps(t):
-    return t.gap_list()
+    return [m for m in t.members() if m < t.frobenius]
 
 
 def _tbl_first_kind(t):
     f = t.frobenius
     return sorted(f - s for s in _tbl_small(t))
-
-
-def _tbl_mask(t):
-    # the members in [0, F] as one int: within one F, a is contained in b
-    # exactly when a & ~b == 0
-    return sum(1 << m for m in t.members)
 
 
 def _second_kind_mask(f, members):
@@ -144,16 +142,15 @@ def _second_kind_mask(f, members):
         return 0
     forwards = bin(members | 1 << (f + 1))[3:]
     mirrored = int(forwards[::-1], 2)
-    return ~(members | mirrored) & ((1 << (f + 1)) - 1)
+    return ~(members | mirrored) & _below(f + 1)
 
 
 def _tbl_second_kind(t):
-    mask = _second_kind_mask(t.frobenius, _tbl_mask(t))
-    return [x for x in range(1, t.frobenius + 1) if mask >> x & 1]
+    return _positions(_second_kind_mask(t.frobenius, t.mask))
 
 
 def _tbl_l(t):
-    return _second_kind_mask(t.frobenius, _tbl_mask(t)).bit_count()
+    return _second_kind_mask(t.frobenius, t.mask).bit_count()
 
 
 def _tbl_h(t):
@@ -167,9 +164,7 @@ def _tbl_pf(t):
     f = t.frobenius
     m = _tbl_multiplicity(t)
     shifts = [s for s in range(1, f + m + 1) if t.contains(s)]
-    return [
-        x for x in _tbl_gaps(t) if all(t.contains(x + s) for s in shifts)
-    ]
+    return [x for x in t.gap_list() if all(t.contains(x + s) for s in shifts)]
 
 
 def _tbl_msg(t):
@@ -190,7 +185,7 @@ def _tbl_msg(t):
 
 def _tbl_delta(t):
     f = t.frobenius
-    return sorted(s for s in t.members if 2 * s < f)
+    return [s for s in t.members() if 2 * s < f]
 
 
 def _tbl_theta_members(t):
@@ -211,14 +206,15 @@ def _tbl_theta_members(t):
 
 def _tbl_theta_surplus(t):
     reach = _tbl_theta_members(t)
-    return len([m for m in t.members if 0 < m < t.frobenius and m not in reach])
+    return len([m for m in t.members() if 0 < m < t.frobenius and m not in reach])
 
 
 def _tbl_maximal(masks):
     """The semigroups of one population that no other one contains.
 
-    masks maps each semigroup to the _tbl_mask of its table, all sharing
-    one F; the module docstring says why maximal-first is maximality.
+    masks maps each semigroup to its table's mask, all sharing one F
+    (a lies in b exactly when a & ~b == 0); the module docstring says
+    why maximal-first is maximality.
     """
     found = []
     for s in sorted(masks, key=lambda s: -masks[s].bit_count()):
@@ -229,20 +225,20 @@ def _tbl_maximal(masks):
 
 
 def _tbl_adjoin(t: _MemberTable, y: int) -> _MemberTable:
-    members = set(t.members) | {y}
+    mask = t.mask | 1 << y
     f = t.frobenius
-    while f >= 0 and f in members:
+    while f >= 0 and mask >> f & 1:
         f -= 1
     if f <= 0:
-        return _MemberTable(-1, frozenset({0}))
-    return _MemberTable(f, frozenset(m for m in members if m <= f))
+        return _MemberTable(-1, 1)
+    return _MemberTable(f, mask & _below(f + 1))
 
 
 def _tbl_removal_ls(t: _MemberTable):
     # the l values among {0, 1} reached by some semigroup T = S union {y}
     # with y a gap of S and a minimal generator of T; one pass over the gaps
     found = set()
-    for y in _tbl_gaps(t):
+    for y in t.gap_list():
         cand = _tbl_adjoin(t, y)
         if not _tbl_closed(cand):
             continue
@@ -270,47 +266,24 @@ def all_with_frobenius(frobenius: int):
     f = _at_least("frobenius", frobenius, 1)
     if f > ORACLE_MAX_FROBENIUS:
         raise BoundExceeded(f, ORACLE_MAX_FROBENIUS)
-    status = [None] * (f + 1)
-    status[0] = True
-    status[f] = False
-    decided_members = []  # decided members below f, descending
-    results = []
+    found = []
+    _place(f, f - 1, 1, 1 << f, found)
+    return tuple(s for _, s in sorted(found, key=lambda pair: pair[0]))
 
-    def collect():
-        bits = 1 | (1 << (f + 1))
-        for m in decided_members:
-            bits |= 1 << m
-        gaps = tuple(x for x in range(1, f + 1) if status[x] is False)
-        results.append((gaps, NumericalSemigroup(f, bits)))
 
-    def place(x):
-        if x == 0:
-            collect()
-            return
-        # branch 1: x is a gap
-        status[x] = False
-        place(x - 1)
-        # branch 2: x is a member, unless closure already fails; every
-        # sum with one addend equal to x lands in the decided range
-        ok = not (2 * x <= f and status[2 * x] is False)
-        if ok:
-            for y in decided_members:
-                if x + y <= f and status[x + y] is False:
-                    ok = False
-                    break
-        if ok:
-            status[x] = True
-            decided_members.append(x)
-            place(x - 1)
-            decided_members.pop()
-        status[x] = None
-
-    place(f - 1)
-    # place refers to itself through its closure; clearing the name
-    # breaks that cycle, so the search state is freed on return instead
-    # of at the next cyclic collection
-    del place
-    return tuple(s for _, s in sorted(results, key=lambda pair: pair[0]))
+def _place(f, x, members, gaps, found):
+    # decide x, then x - 1, ..., 1; members and gaps are the decided
+    # ones as masks (0 is in, f is out).  Each leaf goes to found as
+    # (gap list, semigroup).
+    if x == 0:
+        found.append((_positions(gaps), NumericalSemigroup(f, members | 1 << (f + 1))))
+        return
+    _place(f, x - 1, members, gaps | 1 << x, found)
+    # x may be a member unless some x + y is a decided gap, for y = x or
+    # y a decided member (all above x): bit y - x of members >> x,
+    # shifted by 2x, is x + y
+    if not ((members >> x) | 1) << 2 * x & gaps:
+        _place(f, x - 1, members | 1 << x, gaps, found)
 
 
 # ----------------------------------------------------------------------
@@ -362,19 +335,18 @@ def crosscheck(f_max: int):
         population = all_with_frobenius(f)
         tables = {s: _MemberTable.of(s) for s in population}
         # brute facts computed once per semigroup, kept for this F only
-        masks = {s: _tbl_mask(t) for s, t in tables.items()}
         l_of = {s: _tbl_l(t) for s, t in tables.items()}
         delta_of = {s: _tbl_delta(t) for s, t in tables.items()}
 
         # irreducible tree nodes versus maximality in the population
-        brute_irr = _tbl_maximal(masks)
+        brute_irr = _tbl_maximal({s: t.mask for s, t in tables.items()})
         fast_irr = set(irreducible_tree(f).semigroups())
         check((f,), "irreducible_tree node set F=%d" % f, brute_irr, fast_irr)
 
         for s in population:
             t = tables[s]
             gens = _tbl_msg(t)
-            gaps = _tbl_gaps(t)
+            gaps = t.gap_list()
             small = _tbl_small(t)
             pf = _tbl_pf(t)
             bl = l_of[s]
@@ -414,7 +386,8 @@ def crosscheck(f_max: int):
                 brute_interval = {
                     other
                     for other in population
-                    if masks[other] & ~masks[s] == 0 and delta_of[other] == delta_of[s]
+                    if tables[other].mask & ~t.mask == 0
+                    and delta_of[other] == delta_of[s]
                 }
                 check(
                     gens,

@@ -514,7 +514,8 @@ def _irreducible_children(s):
     # F - x < m, i.e. x > F - m
     candidates = _above(_upper_generators(s), f - s.multiplicity)
     for x in _lowest_first(candidates):
-        if s.contains(2 * x - f):
+        # 2x - F lies in (0, F) for x in U(S), so it is a bit of the table
+        if s.bits >> (2 * x - f) & 1:
             continue
         if 3 * x == 2 * f or 4 * x == 3 * f:
             continue

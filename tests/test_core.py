@@ -143,6 +143,23 @@ def test_membership():
         assert (x in s) == (x in inside or x > 16)
 
 
+def test_membership_and_removal_refuse_non_integers():
+    s = sg(5, 7, 9, 11)  # F = 13
+    for bad in (13.5, 100.5, 2.0, 7.0, "7"):
+        with pytest.raises(TypeError):
+            bad in s
+        with pytest.raises(TypeError):
+            s.contains(bad)
+        with pytest.raises(TypeError):
+            s.remove_element(bad)
+    # bools are the integers 0 and 1
+    assert (True in s) is False
+    assert (False in s) is True
+    with pytest.raises(NotMinimalGenerator):
+        s.remove_element(True)
+    assert NATURALS.remove_element(True) == sg(2, 3)
+
+
 def test_naturals_membership():
     assert 0 in NATURALS
     assert 1 in NATURALS

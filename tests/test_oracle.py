@@ -19,7 +19,7 @@ from numsgps import (
     crosscheck,
     pseudo_frobenius,
 )
-from numsgps.oracle import _MemberTable, _tbl_mask, _tbl_maximal
+from numsgps.oracle import _MemberTable, _tbl_maximal
 from support import plant_flipped_flag, sg
 
 # how many numerical semigroups exist per Frobenius number
@@ -63,6 +63,27 @@ def test_all_with_frobenius_five():
 def test_population_sizes():
     sizes = tuple(len(all_with_frobenius(f)) for f in range(1, 23))
     assert sizes == POPULATION_SIZES
+
+
+def test_all_with_frobenius_is_every_closed_subset():
+    # the definition: S meets [1, F - 1] in a set closed under sums <= F,
+    # and F is a gap; listed in gap-list order
+    for f in range(1, 17):
+        expected = []
+        for chosen in range(1 << (f - 1)):
+            members = {x for x in range(1, f) if chosen >> (x - 1) & 1}
+            if all(a + b in members for a in members for b in members if a + b <= f):
+                expected.append(tuple(x for x in range(1, f + 1) if x not in members))
+        got = [
+            tuple(x for x in range(1, f + 1) if x not in s)
+            for s in all_with_frobenius(f)
+        ]
+        assert got == sorted(expected)
+
+
+def test_member_table_of_naturals_holds_zero():
+    assert _MemberTable.of(NATURALS) == _MemberTable(-1, 1)
+    assert _MemberTable.of(sg(2, 3)) == _MemberTable(1, 1)
 
 
 def test_all_with_frobenius_leaves_no_cyclic_garbage():
@@ -168,7 +189,7 @@ def test_maximal_first_equals_pairwise_maximality():
             for s in population
             if not any(o != s and members[s] <= members[o] for o in population)
         }
-        masks = {s: _tbl_mask(_MemberTable.of(s)) for s in population}
+        masks = {s: _MemberTable.of(s).mask for s in population}
         assert _tbl_maximal(masks) == pairwise
 
 

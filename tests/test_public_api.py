@@ -243,6 +243,8 @@ GATES = [
     ("crosscheck", "f_max", 1, numsgps.crosscheck),
     ("interval_children", "edge_label", None,
      lambda v: numsgps.interval_children(C11, v)),
+    ("NumericalSemigroup.contains", "x", None, C11.contains),
+    ("NumericalSemigroup.remove_element", "x", None, C11.remove_element),
 ]
 
 
