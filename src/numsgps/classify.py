@@ -30,7 +30,7 @@ membership tests on h = h(S), giving the pf_fast_* paths:
 
 from dataclasses import dataclass
 
-from .core import NumericalSemigroup, _bit_range, _mirror, _set_bits
+from .core import NumericalSemigroup, _bit_range, _gap_bits, _mirror, _set_bits
 from .errors import NotThreeSemigroup, NotTwoSemigroup
 
 
@@ -61,7 +61,7 @@ def pseudo_frobenius(s: NumericalSemigroup) -> PseudoFrobeniusSet:
     gens = s.minimal_generators
     # members up to F + max(gens), the largest sum a gap can reach
     ext = s.bits | _bit_range(f + 2, f + gens[-1] + 1)
-    pf = ~s.bits & _bit_range(1, f + 1)
+    pf = _gap_bits(s)
     for g in gens:
         pf &= ext >> g
     values = tuple(_set_bits(pf))
@@ -74,7 +74,7 @@ def _witness(s, want_l):
     # without building it; y is then minimal in the parent (see above)
     if s.frobenius < 1:
         return None
-    gaps = ~s.bits & _bit_range(1, s.frobenius + 1)
+    gaps = _gap_bits(s)
     for y in pseudo_frobenius(s).values:
         if not s.contains(2 * y):
             continue
@@ -126,23 +126,23 @@ def in_family_u(s: NumericalSemigroup) -> bool:
     return False
 
 
-def _l_flags(s):
-    # (l, symmetric, pseudo_symmetric, irreducible), all read off l
-    profile = s.gap_profile
-    l_count = profile.l_count
+def _l_flags(s, genus, l_count):
+    # (symmetric, pseudo_symmetric, irreducible) of S, all read off l
     symmetric = l_count == 0
     pseudo_symmetric = l_count == 1
     # genus characterizations, kept as internal consistency checks
-    if symmetric and 2 * profile.genus != s.frobenius + 1:
+    if symmetric and 2 * genus != s.frobenius + 1:
         raise AssertionError("l = 0 but 2g != F + 1 for %r" % s)
-    if pseudo_symmetric and 2 * profile.genus != s.frobenius + 2:
+    if pseudo_symmetric and 2 * genus != s.frobenius + 2:
         raise AssertionError("l = 1 but 2g != F + 2 for %r" % s)
-    return l_count, symmetric, pseudo_symmetric, l_count <= 1
+    return symmetric, pseudo_symmetric, l_count <= 1
 
 
 def classify(s: NumericalSemigroup) -> ClassificationReport:
     """Full l-based classification report."""
-    l_count, symmetric, pseudo_symmetric, irreducible = _l_flags(s)
+    profile = s.gap_profile
+    l_count = profile.l_count
+    symmetric, pseudo_symmetric, irreducible = _l_flags(s, profile.genus, l_count)
     return ClassificationReport(
         l_count=l_count,
         symmetric=symmetric,

@@ -41,7 +41,7 @@ import os
 import sys
 
 from .classify import _l_flags, pseudo_frobenius
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _at_least, _gap_bits, _mirror, _set_bits
 from .enumeration import EnumerationRequest, Mode, feasible, iter_k_semigroups
 from .errors import NumericalSemigroupError
 from .oracle import ORACLE_MAX_FROBENIUS, crosscheck
@@ -71,19 +71,26 @@ def _threads_argument(text: str):
 
 
 def semigroup_record(s: NumericalSemigroup) -> dict:
-    """The serialization schema used by every record-producing command."""
-    profile = s.gap_profile
+    """The serialization schema used by every record-producing command.
+
+    The gaps, the genus and l are read off one gap mask G, with l the
+    number of gaps x whose mirror F - x is a gap too; the flags follow
+    from l, as in classify.
+    """
+    gaps = _gap_bits(s)
+    genus = gaps.bit_count()
+    l_count = (gaps & _mirror(gaps, s.frobenius)).bit_count()
+    symmetric, pseudo_symmetric, irreducible = _l_flags(s, genus, l_count)
     pf = pseudo_frobenius(s)
-    _, symmetric, pseudo_symmetric, irreducible = _l_flags(s)
     return {
         "frobenius": s.frobenius,
-        "genus": profile.genus,
-        "l": profile.l_count,
+        "genus": genus,
+        "l": l_count,
         "multiplicity": s.multiplicity,
         "embedding_dimension": s.embedding_dimension,
         "type": pf.type_count,
         "min_generators": list(s.minimal_generators),
-        "gaps": list(profile.gaps),
+        "gaps": _set_bits(gaps),
         "pseudo_frobenius": list(pf.values),
         "flags": {
             "symmetric": symmetric,
@@ -182,6 +189,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_irreducibles(args) -> int:
+    if args.min_delta is not None:
+        _at_least("--min-delta", args.min_delta, 0)
     tree = irreducible_tree(args.frobenius, prune_threshold=args.min_delta)
     return _print_tree(tree, args)
 
@@ -190,6 +199,7 @@ def cmd_interval_tree(args) -> int:
     root = NumericalSemigroup.from_generators(args.gens)
     if args.level is None:
         return _print_tree(interval_tree(root), args)
+    _at_least("--level", args.level, 0)
     for s in iter_interval_level(root, args.level):
         if args.json:
             print(_record_line(s, depth=args.level, edge_label=None, parent=None))
@@ -240,7 +250,7 @@ def cmd_ksemigroups(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = crosscheck(args.max_frobenius)
+    reports = crosscheck(_at_least("--max-frobenius", args.max_frobenius, 1))
     if reports:
         for report in reports:
             print(str(report))

@@ -35,6 +35,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import (
     BoundExceeded,
@@ -69,14 +70,25 @@ def _bit_range(lo, hi):
     return ((1 << hi) - 1) ^ ((1 << lo) - 1)
 
 
+# binary digits "0"/"1" to the bytes 0/1 that compress reads as flags
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _set_bits(x):
-    # positions of the set bits of x >= 0, ascending
-    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+    # positions of the set bits of x >= 0, ascending: the binary digits,
+    # lowest first, become 0/1 flags that select from range(n) in C
+    flags = bin(x)[:1:-1].encode().translate(_DIGIT_FLAGS)
+    return list(compress(range(len(flags)), flags))
 
 
 def _delta_bits(s):
     # delta(S) as a mask: the members x with 2x < F
     return s.bits & _bit_range(0, (s.frobenius + 1) // 2)
+
+
+def _gap_bits(s):
+    # the gaps as a mask: the non-members in [1, F], 0 for N
+    return ~s.bits & _bit_range(1, s.frobenius + 1)
 
 
 def _mirror(x, f):
@@ -235,7 +247,7 @@ class NumericalSemigroup:
         if f < 0:
             return GapProfile((), (), (), (), 0, 0, 0, -1)
         small = self.bits & _bit_range(0, f)
-        gaps = ~self.bits & _bit_range(1, f + 1)
+        gaps = _gap_bits(self)
         second = gaps & _mirror(gaps, f)  # F - x is a gap too
         l_count = second.bit_count()
         h_value = second.bit_length() - 1 if l_count >= 2 else -1
@@ -247,23 +259,28 @@ class NumericalSemigroup:
     def minimal_generators(self):
         """The unique minimal generating set, ascending.
 
-        A member s is minimal exactly when it is not a sum of two nonzero
-        members.  No generator can exceed F + m, because anything above
-        splits off the multiplicity, so the generators are the nonzero
-        members M of [1, F + m] less the sumset M + M.  The tuple is
-        computed once and reused.
+        It is read off the Apery set Ap(S, m) = {w in S : w - m not in S}
+        of the multiplicity m, one member per residue class mod m, the
+        largest F + m.  A generator g other than m lies in Ap, or else
+        g = m + (g - m) splits, so msg(S) is m together with the nonzero
+        Apery elements that are not a sum of two nonzero members.  Both
+        summands of such a sum w = a + b are Apery elements themselves:
+        if a - m were in S, so would be w - m = (a - m) + b.  So the sums
+        are one sumset mask of the nonzero Apery elements, shifted only
+        by those up to (F + m)/2, the most the smaller summand can be.
+        The tuple is computed once and reused.
         """
         f = self.frobenius
         if f < 0:
             return (1,)
         m = self.multiplicity
         top = f + m
-        members = (self.bits | _bit_range(f + 2, top + 1)) & ~1
+        members = self.bits | _bit_range(f + 2, top + 1)
+        apery = members & ~(members << m) & _bit_range(1, top + 1)
         sums = 0
-        # the smaller summand of a sum in [1, F + m] is at most half of it
-        for a in _set_bits(members & _bit_range(0, top // 2 + 1)):
-            sums |= members << a
-        return tuple(_set_bits(members & ~sums))
+        for a in _set_bits(apery & _bit_range(0, top // 2 + 1)):
+            sums |= apery << a
+        return (m, *_set_bits(apery & ~sums))
 
     @property
     def multiplicity(self):
@@ -349,7 +366,7 @@ class NumericalSemigroup:
         # j >= i whose sum with i is a gap; the lowest is the first witness
         f = self.frobenius
         members = self.bits & ~1
-        gaps = ~self.bits & _bit_range(1, f + 1)
+        gaps = _gap_bits(self)
         for i in _set_bits(members & _bit_range(0, f // 2 + 1)):
             bad = ((members >> i) << (2 * i)) & gaps
             if bad:

@@ -11,7 +11,7 @@ import pytest
 
 import numsgps.cli
 import numsgps.trees
-from numsgps import all_with_frobenius, classify
+from numsgps import all_with_frobenius, classify, pseudo_frobenius
 from numsgps.cli import main, semigroup_record
 from support import SRC_ENV, count_calls, plant_flipped_flag, python, sg
 
@@ -155,7 +155,7 @@ def test_irreducibles_rejects_negative_min_delta(capsys):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "-2" in err
+    assert err == "error: --min-delta must be >= 0, got -2\n"
 
 
 def test_irreducibles_rejects_low_frobenius(capsys):
@@ -223,7 +223,7 @@ def test_interval_tree_rejects_negative_level(capsys):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err == "error: --level must be >= 0, got -1\n"
 
 
 def test_interval_tree_rejects_reducible(capsys):
@@ -494,6 +494,13 @@ def test_verify_reports_a_planted_fault(capsys, monkeypatch):
     ]
 
 
+def test_verify_rejects_max_frobenius_below_one(capsys):
+    code, out, err = run(capsys, "verify", "--max-frobenius", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-frobenius must be >= 1, got 0\n"
+
+
 def test_verify_bound(capsys):
     code, out, err = run(capsys, "verify", "--max-frobenius", "99")
     assert code == 2
@@ -504,18 +511,41 @@ def test_verify_bound(capsys):
 # the record path
 
 
-def test_record_flags_match_classify():
-    # records read their flags off l alone; classify is the full report
-    population = [sg(1)]
-    for f in range(1, 17):
-        population.extend(all_with_frobenius(f))
-    for s in population:
-        report = classify(s)
-        assert semigroup_record(s)["flags"] == {
+def _profile_record(s):
+    # the record as gap_profile and classify give it, field by field
+    profile = s.gap_profile
+    report = classify(s)
+    pf = pseudo_frobenius(s)
+    return {
+        "frobenius": s.frobenius,
+        "genus": profile.genus,
+        "l": profile.l_count,
+        "multiplicity": s.multiplicity,
+        "embedding_dimension": len(s.minimal_generators),
+        "type": pf.type_count,
+        "min_generators": list(s.minimal_generators),
+        "gaps": list(profile.gaps),
+        "pseudo_frobenius": list(pf.values),
+        "flags": {
             "symmetric": report.symmetric,
             "pseudo_symmetric": report.pseudo_symmetric,
             "irreducible": report.irreducible,
-        }
+        },
+    }
+
+
+def test_record_matches_profile_and_classify():
+    # records read the gaps, genus and l off one gap mask and the flags
+    # off l; gap_profile and classify are the full analytics
+    population = [sg(1), sg(207, 215)]
+    for f in range(1, 19):
+        population.extend(all_with_frobenius(f))
+    for s in population:
+        record = semigroup_record(s)
+        expected = _profile_record(s)
+        assert list(record) == list(expected)
+        for key, value in expected.items():
+            assert record[key] == value, (s, key)
 
 
 @pytest.mark.parametrize(

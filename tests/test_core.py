@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numsgps.core
 from numsgps import (
@@ -11,8 +16,11 @@ from numsgps import (
     NotClosed,
     NotMinimalGenerator,
     NumericalSemigroup,
+    all_with_frobenius,
+    brute_msg,
     pseudo_frobenius,
 )
+from numsgps.core import _set_bits
 from support import sg
 
 
@@ -268,6 +276,61 @@ def test_two_generator_sylvester_anchor(a, b):
     pf = pseudo_frobenius(s)
     assert pf.values == (s.frobenius,)
     assert pf.type_count == 1
+
+
+# ----------------------------------------------------------------------
+# the bit-table kernels against their definitions
+
+# a mask over up to 6,000 bits: 0, 1, dense (every bit drawn), runs of
+# ones with a few holes, or a few scattered bits
+masks = st.one_of(
+    st.sampled_from([0, 1]),
+    st.integers(min_value=0, max_value=(1 << 6000) - 1),
+    st.tuples(
+        st.integers(min_value=1, max_value=6000),
+        st.sets(st.integers(min_value=0, max_value=5999), max_size=8),
+    ).map(lambda run: ((1 << run[0]) - 1) & ~sum(1 << i for i in run[1])),
+    st.sets(st.integers(min_value=0, max_value=5999), max_size=12).map(
+        lambda bits: sum(1 << i for i in bits)
+    ),
+)
+
+
+@given(masks)
+@settings(deadline=None, derandomize=True)
+def test_set_bits_lists_each_set_bit(x):
+    assert _set_bits(x) == [i for i in range(x.bit_length()) if (x >> i) & 1]
+
+
+def _no_generator_is_a_sum(s):
+    # no generator g is a + b with nonzero members a, b <= g - a
+    for g in s.minimal_generators:
+        assert not any(a in s and g - a in s for a in range(1, g // 2 + 1)), g
+
+
+def test_minimal_generators_match_brute_force_up_to_f18():
+    assert NATURALS.minimal_generators == brute_msg(NATURALS)
+    for f in range(1, 19):
+        for s in all_with_frobenius(f):
+            assert s.minimal_generators == brute_msg(s)
+
+
+def test_minimal_generators_generate_and_are_minimal_at_large_frobenius():
+    # seeded random generator sets with F up to about 5,000, then the
+    # two-generated <207, 215> with F = 44,083
+    rng = random.Random(28)
+    population = []
+    while len(population) < 40:
+        m = rng.randrange(2, 80)
+        gens = [m, *(rng.randrange(m + 1, 3 * m) for _ in range(rng.randrange(1, 6)))]
+        if math.gcd(*gens) == 1:
+            population.append(sg(*gens))
+    population.append(sg(207, 215))
+    assert max(s.frobenius for s in population[:-1]) > 1000
+    for s in population:
+        assert NumericalSemigroup.from_generators(s.minimal_generators) == s
+        _no_generator_is_a_sum(s)
+    assert population[-1].minimal_generators == (207, 215)
 
 
 def test_multiplicity_and_embedding_dimension():

@@ -289,7 +289,8 @@ def test_oracle_imports_no_private_kernel():
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
-    assert not names & {"_bit_range", "_mirror", "_set_bits", "_closure_bits"}
+    kernels = {"_bit_range", "_mirror", "_set_bits", "_closure_bits", "_gap_bits"}
+    assert not names & kernels
     # perfbench and the fault tests above substitute these by name
     for name in (
         "classify",
